@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
 
+#include "typedet/eval_resolver.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
 
@@ -155,6 +157,48 @@ Status ValidateRule(const Sdc& r, size_t line) {
   return Status::Ok();
 }
 
+EvalResolver SetResolver(const typedet::EvalFunctionSet& evals) {
+  return [&evals](std::string_view id) { return FindEvalById(evals, id); };
+}
+
+// Sets each rule's eval_index to its function's position in `evals`.
+void AssignEvalIndices(const typedet::EvalFunctionSet& evals,
+                       std::vector<Sdc>* rules) {
+  std::unordered_map<const typedet::DomainEvalFunction*, size_t> index;
+  for (size_t i = 0; i < evals.size(); ++i) index.emplace(&evals.at(i), i);
+  for (Sdc& r : *rules) r.eval_index = index.at(r.eval);
+}
+
+// Builds each distinct id's function once, in first-appearance order, into
+// a set it owns; an id that fails to build stays nullptr (unresolved).
+class OwningResolver {
+ public:
+  EvalResolver AsResolver() {
+    return [this](std::string_view id) -> const typedet::DomainEvalFunction* {
+      auto [it, inserted] = by_id_.try_emplace(std::string(id), nullptr);
+      if (inserted) {
+        auto made = typedet::TryMakeEvalFromId(id);
+        if (made.ok()) {
+          it->second = made->get();
+          evals_->Add(std::move(*made));
+        }
+      }
+      return it->second;
+    };
+  }
+
+  // Hands the built functions to `set`, whose rules point into them.
+  void Finish(RuleSet* set) {
+    AssignEvalIndices(*evals_, &set->rules);
+    set->evals = std::move(evals_);
+  }
+
+ private:
+  std::unordered_map<std::string, const typedet::DomainEvalFunction*> by_id_;
+  std::shared_ptr<typedet::EvalFunctionSet> evals_ =
+      std::make_shared<typedet::EvalFunctionSet>();
+};
+
 }  // namespace
 
 const typedet::DomainEvalFunction* FindEvalById(
@@ -187,9 +231,9 @@ std::string SerializeRules(const std::vector<Sdc>& rules) {
   return out;
 }
 
-Result<std::vector<Sdc>> TryDeserializeRules(
-    std::string_view text, const typedet::EvalFunctionSet& evals,
-    size_t* unresolved) {
+Result<std::vector<Sdc>> TryDeserializeRules(std::string_view text,
+                                             const EvalResolver& resolve,
+                                             size_t* unresolved) {
   if (unresolved != nullptr) *unresolved = 0;
   if (auto injected = util::FailpointFiresCode(
           util::kFpRulesParse, util::StatusCode::kDataLoss)) {
@@ -264,19 +308,10 @@ Result<std::vector<Sdc>> TryDeserializeRules(
       }
     }
     AT_RETURN_IF_ERROR(ValidateRule(r, line_no));
-    const typedet::DomainEvalFunction* eval =
-        FindEvalById(evals, UnescapeId(fields[1]));
-    if (eval == nullptr) {
+    r.eval = resolve(UnescapeId(fields[1]));
+    if (r.eval == nullptr) {
       if (unresolved != nullptr) ++*unresolved;
       continue;
-    }
-    r.eval = eval;
-    // Recover the index within the set for completeness.
-    for (size_t i = 0; i < evals.size(); ++i) {
-      if (&evals.at(i) == eval) {
-        r.eval_index = i;
-        break;
-      }
     }
     rules.push_back(std::move(r));
   }
@@ -284,6 +319,14 @@ Result<std::vector<Sdc>> TryDeserializeRules(
     return InvalidArgumentError(
         "missing '# autotest-sdc v1' header (is this a rules.sdc file?)");
   }
+  return rules;
+}
+
+Result<std::vector<Sdc>> TryDeserializeRules(
+    std::string_view text, const typedet::EvalFunctionSet& evals,
+    size_t* unresolved) {
+  auto rules = TryDeserializeRules(text, SetResolver(evals), unresolved);
+  if (rules.ok()) AssignEvalIndices(evals, &*rules);
   return rules;
 }
 
@@ -316,9 +359,9 @@ util::Status TrySaveRulesToFile(const std::vector<Sdc>& rules,
   return Status::Ok();
 }
 
-Result<std::vector<Sdc>> TryLoadRulesFromFile(
-    const std::string& path, const typedet::EvalFunctionSet& evals,
-    size_t* unresolved) {
+Result<std::vector<Sdc>> TryLoadRulesFromFile(const std::string& path,
+                                              const EvalResolver& resolve,
+                                              size_t* unresolved) {
   if (unresolved != nullptr) *unresolved = 0;
   if (auto injected = util::FailpointFiresCode(util::kFpRulesOpen,
                                                util::StatusCode::kIoError)) {
@@ -334,11 +377,39 @@ Result<std::vector<Sdc>> TryLoadRulesFromFile(
   if (in.bad()) {
     return IoError("read failure on " + path);
   }
-  auto rules = TryDeserializeRules(ss.str(), evals, unresolved);
+  auto rules = TryDeserializeRules(ss.str(), resolve, unresolved);
   if (!rules.ok()) {
     return Status(rules.status()).WithContext("loading rules from " + path);
   }
   return rules;
+}
+
+Result<std::vector<Sdc>> TryLoadRulesFromFile(
+    const std::string& path, const typedet::EvalFunctionSet& evals,
+    size_t* unresolved) {
+  auto rules = TryLoadRulesFromFile(path, SetResolver(evals), unresolved);
+  if (rules.ok()) AssignEvalIndices(evals, &*rules);
+  return rules;
+}
+
+Result<RuleSet> TryDeserializeRuleSet(std::string_view text) {
+  OwningResolver resolver;
+  RuleSet set;
+  AT_ASSIGN_OR_RETURN(set.rules,
+                      TryDeserializeRules(text, resolver.AsResolver(),
+                                          &set.unresolved));
+  resolver.Finish(&set);
+  return set;
+}
+
+Result<RuleSet> TryLoadRuleSet(const std::string& path) {
+  OwningResolver resolver;
+  RuleSet set;
+  AT_ASSIGN_OR_RETURN(set.rules,
+                      TryLoadRulesFromFile(path, resolver.AsResolver(),
+                                           &set.unresolved));
+  resolver.Finish(&set);
+  return set;
 }
 
 bool SaveRulesToFile(const std::vector<Sdc>& rules,

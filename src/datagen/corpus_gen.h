@@ -43,7 +43,7 @@ table::Corpus GenerateCorpus(const CorpusProfile& profile);
 /// independent seed from the profile seed and its index, so a shard's
 /// contents never depend on which other shards load. With num_shards == 1
 /// the profile is returned unchanged (bit-compatible with the monolithic
-/// GenerateCorpus path, and with pre-sharding recipe files).
+/// GenerateCorpus path).
 CorpusProfile ShardProfile(const CorpusProfile& profile, size_t shard,
                            size_t num_shards);
 
@@ -51,8 +51,8 @@ CorpusProfile ShardProfile(const CorpusProfile& profile, size_t shard,
 /// run on the parallel pool with per-shard retry, the shard.read /
 /// shard.retry failpoints as chaos hooks, and quorum-based degradation
 /// per `options`. `include_shard`, when non-empty, restricts generation
-/// to those shard indices (used to rebuild a degraded corpus exactly from
-/// recipe provenance). Shards are assembled in ascending index order, so
+/// to those shard indices (reproducing a degraded corpus from its
+/// surviving shards). Shards are assembled in ascending index order, so
 /// the result is deterministic in (profile.seed, num_shards, mask).
 [[nodiscard]] util::Result<table::Corpus> TryGenerateCorpusSharded(
     const CorpusProfile& profile, size_t num_shards,

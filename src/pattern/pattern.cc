@@ -1,6 +1,8 @@
 #include "pattern/pattern.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cstdint>
 
 #include "util/check.h"
 
@@ -12,6 +14,11 @@ bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
 bool IsAlpha(char c) { return std::isalpha(static_cast<unsigned char>(c)); }
 bool IsLower(char c) { return std::islower(static_cast<unsigned char>(c)); }
 bool IsUpper(char c) { return std::isupper(static_cast<unsigned char>(c)); }
+
+// Largest repeat count a quantifier may spell. Patterns arrive from
+// untrusted rule files (`pat:` ids), so the digit loop must stop before
+// the int accumulator can overflow.
+constexpr int kMaxRepeat = 1 << 20;
 
 // Parses a quantifier at position i (after a class token); defaults to {1}.
 bool ParseQuantifier(std::string_view text, size_t* i, int* min_len,
@@ -31,6 +38,7 @@ bool ParseQuantifier(std::string_view text, size_t* i, int* min_len,
   bool have_lo = false;
   while (j < text.size() && IsDigit(text[j])) {
     lo = lo * 10 + (text[j] - '0');
+    if (lo > kMaxRepeat) return false;
     have_lo = true;
     ++j;
   }
@@ -42,6 +50,7 @@ bool ParseQuantifier(std::string_view text, size_t* i, int* min_len,
     bool have_hi = false;
     while (j < text.size() && IsDigit(text[j])) {
       hi = hi * 10 + (text[j] - '0');
+      if (hi > kMaxRepeat) return false;
       have_hi = true;
       ++j;
     }
@@ -68,33 +77,56 @@ bool IsPatternSpecial(char c) {
          c == '+';
 }
 
-// Backtracking matcher over (atom index, value position).
-bool MatchFrom(const std::vector<Atom>& atoms, size_t ai,
-               std::string_view value, size_t pos) {
-  if (ai == atoms.size()) return pos == value.size();
-  const Atom& a = atoms[ai];
-  // Consume the mandatory minimum.
-  size_t taken = 0;
-  size_t p = pos;
-  while (taken < static_cast<size_t>(a.min_len)) {
-    if (p >= value.size() || !a.MatchesChar(value[p])) return false;
-    ++p;
-    ++taken;
+// Position-set matcher: after each atom, reach[p] says some split of the
+// value's prefix [0, p) matches the atoms so far; each atom carries every
+// reachable position forward by each run length it allows. The work is
+// polynomial in (atoms, value length) for any pattern, where a
+// backtracking search is exponential on runs of adjacent unbounded atoms
+// — and patterns arrive from rule files (`pat:` ids), so they are
+// untrusted. The answer is the backtracking one: some split matches.
+bool MatchAll(const std::vector<Atom>& atoms, std::string_view value) {
+  const size_t n = value.size();
+  // Short values (nearly all cells) keep both position sets on the stack.
+  constexpr size_t kInline = 128;
+  uint8_t inline_sets[2 * kInline];
+  std::vector<uint8_t> heap_sets;
+  uint8_t* reach = inline_sets;
+  uint8_t* next = inline_sets + kInline;
+  if (n + 1 > kInline) {
+    heap_sets.resize(2 * (n + 1));
+    reach = heap_sets.data();
+    next = reach + n + 1;
   }
-  // Greedily extend, then backtrack.
-  std::vector<size_t> stops;
-  stops.push_back(p);
-  while ((a.max_len == Atom::kUnbounded ||
-          taken < static_cast<size_t>(a.max_len)) &&
-         p < value.size() && a.MatchesChar(value[p])) {
-    ++p;
-    ++taken;
-    stops.push_back(p);
+  std::fill(reach, reach + n + 1, uint8_t{0});
+  reach[0] = 1;
+  // Reachable positions lie in [lo, hi] and never move left, so each pass
+  // scans (and clears) only from lo on; bits below lo are never read.
+  size_t lo = 0, hi = 0;
+  for (const Atom& a : atoms) {
+    const size_t min_len = static_cast<size_t>(a.min_len);
+    const size_t max_len = a.max_len == Atom::kUnbounded
+                               ? n
+                               : static_cast<size_t>(a.max_len);
+    std::fill(next + lo, next + n + 1, uint8_t{0});
+    size_t next_lo = n + 1, next_hi = 0;
+    for (size_t p = lo; p <= hi; ++p) {
+      if (reach[p] == 0) continue;
+      size_t q = p;
+      while (q - p < min_len && q < n && a.MatchesChar(value[q])) ++q;
+      if (q - p < min_len) continue;
+      next_lo = std::min(next_lo, q);
+      next[q] = 1;
+      while (q - p < max_len && q < n && a.MatchesChar(value[q])) {
+        next[++q] = 1;
+      }
+      next_hi = std::max(next_hi, q);
+    }
+    if (next_lo > n) return false;
+    std::swap(reach, next);
+    lo = next_lo;
+    hi = next_hi;
   }
-  for (size_t k = stops.size(); k > 0; --k) {
-    if (MatchFrom(atoms, ai + 1, value, stops[k - 1])) return true;
-  }
-  return false;
+  return hi == n && reach[n] != 0;
 }
 
 }  // namespace
@@ -193,8 +225,7 @@ std::string Pattern::ToString() const {
 }
 
 bool Pattern::Matches(std::string_view value) const {
-  if (atoms_.empty()) return value.empty();
-  return MatchFrom(atoms_, 0, value, 0);
+  return MatchAll(atoms_, value);
 }
 
 Pattern Generalize(std::string_view value, GeneralizationLevel level) {

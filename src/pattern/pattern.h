@@ -41,7 +41,8 @@ class Pattern {
   Pattern() = default;
   explicit Pattern(std::vector<Atom> atoms) : atoms_(std::move(atoms)) {}
 
-  /// Parses the textual syntax; nullopt on malformed input.
+  /// Parses the textual syntax; nullopt on malformed input, including a
+  /// repeat count above 2^20.
   static std::optional<Pattern> Parse(std::string_view text);
 
   /// Renders the canonical textual form.

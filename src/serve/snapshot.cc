@@ -13,6 +13,18 @@ namespace {
 using util::Status;
 using util::StatusCode;
 
+// Loads rules against a caller-owned set. The returned set does not own
+// it: the store's contract has the caller keep it alive.
+util::Result<core::RuleSet> TryLoadAgainst(
+    const typedet::EvalFunctionSet& evals, const std::string& path) {
+  core::RuleSet set;
+  set.evals = std::shared_ptr<const typedet::EvalFunctionSet>(
+      std::shared_ptr<void>(), &evals);
+  AT_ASSIGN_OR_RETURN(set.rules, core::TryLoadRulesFromFile(
+                                     path, evals, &set.unresolved));
+  return set;
+}
+
 }  // namespace
 
 SnapshotStore::SnapshotStore(const typedet::EvalFunctionSet* evals,
@@ -44,19 +56,20 @@ Status SnapshotStore::TryReload() {
       return util::InjectedFault(*injected, util::kFpServeReload)
           .WithContext("reloading rules from " + rules_path_);
     }
-    size_t unresolved = 0;
     // reload_mu_ serializes reloads only; it is never taken on the
     // request-serving path, so blocking file I/O under it cannot stall a
     // worker (Get() only touches mu_).
     // at_lint: disable(R8) reload-only lock, never on the request path
-    auto rules = core::TryLoadRulesFromFile(rules_path_, *evals_,
-                                            &unresolved);
-    if (!rules.ok()) {
-      return Status(rules.status())
+    auto loaded = evals_ == nullptr ? core::TryLoadRuleSet(rules_path_)
+                                    : TryLoadAgainst(*evals_, rules_path_);
+    if (!loaded.ok()) {
+      return Status(loaded.status())
           .WithContext("reloading rules from " + rules_path_);
     }
+    const size_t unresolved = loaded->unresolved;
     auto snapshot = std::make_shared<RuleSetSnapshot>(
-        version, rules_path_, std::move(*rules), unresolved);
+        version, rules_path_, std::move(loaded->evals),
+        std::move(loaded->rules), unresolved);
     if (snapshot->predictor().num_rules() == 0) {
       return util::FailedPreconditionError(
                  "rule file has no servable rules (" +

@@ -26,25 +26,31 @@
 
 namespace autotest::serve {
 
-/// One immutable, versioned rule set plus its ready-to-serve predictor.
+/// One immutable, versioned rule set plus its ready-to-serve predictor
+/// and the evaluation functions the predictor's rules point into.
 class RuleSetSnapshot {
  public:
   RuleSetSnapshot(uint64_t version, std::string source,
+                  std::shared_ptr<const typedet::EvalFunctionSet> evals,
                   std::vector<core::Sdc> rules, size_t unresolved)
       : version_(version),
         source_(std::move(source)),
+        evals_(std::move(evals)),
         predictor_(std::move(rules)),
         unresolved_(unresolved) {}
 
   uint64_t version() const { return version_; }
   const std::string& source() const { return source_; }
   const core::SdcPredictor& predictor() const { return predictor_; }
-  /// Rules whose eval id did not resolve against the serving function set.
+  /// Rules whose eval id did not resolve to an evaluation function.
   size_t unresolved() const { return unresolved_; }
 
  private:
   uint64_t version_;
   std::string source_;
+  // Declared before predictor_ so the functions outlive the rules that
+  // point into them.
+  std::shared_ptr<const typedet::EvalFunctionSet> evals_;
   core::SdcPredictor predictor_;
   size_t unresolved_;
 };
@@ -56,8 +62,10 @@ class RuleSetSnapshot {
 /// fully-constructed snapshots.
 class SnapshotStore {
  public:
-  /// `evals` must outlive the store (rule files resolve eval ids against
-  /// it; it is corpus-derived and owned by the daemon's AutoTest model).
+  /// A null `evals` resolves each loaded file by id (core::TryLoadRuleSet):
+  /// every snapshot owns the functions its rules reference, so a reload
+  /// may carry rules trained on any corpus. A non-null `evals` resolves
+  /// ids against that prebuilt set instead; it must outlive the store.
   SnapshotStore(const typedet::EvalFunctionSet* evals,
                 std::string rules_path);
 
@@ -76,7 +84,7 @@ class SnapshotStore {
   const std::string& rules_path() const { return rules_path_; }
 
  private:
-  const typedet::EvalFunctionSet* evals_;
+  const typedet::EvalFunctionSet* evals_;  // null: resolve by id
   std::string rules_path_;
 
   /// Serializes TryReload calls; always taken before mu_ (R9 edge).

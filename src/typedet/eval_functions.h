@@ -42,6 +42,10 @@ class EvalFunctionSet {
   static EvalFunctionSet Build(const table::Corpus& corpus,
                                const EvalFunctionSetOptions& options = {});
 
+  /// An empty set, filled through Add (the rule loader resolves ids into
+  /// one of these; see core::TryLoadRuleSet).
+  EvalFunctionSet() = default;
+
   EvalFunctionSet(EvalFunctionSet&&) = default;
   EvalFunctionSet& operator=(EvalFunctionSet&&) = default;
   EvalFunctionSet(const EvalFunctionSet&) = delete;
@@ -75,8 +79,6 @@ class EvalFunctionSet {
   }
 
  private:
-  EvalFunctionSet() = default;
-
   std::vector<std::shared_ptr<CtaModelZoo>> cta_zoos_;
   std::vector<std::shared_ptr<embed::EmbeddingModel>> embedding_models_;
   std::vector<std::unique_ptr<DomainEvalFunction>> functions_;

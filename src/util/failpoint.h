@@ -53,7 +53,6 @@ inline constexpr std::string_view kFpCsvParse = "csv.parse";
 inline constexpr std::string_view kFpRulesOpen = "rules.open";
 inline constexpr std::string_view kFpRulesParse = "rules.parse";
 inline constexpr std::string_view kFpRulesSave = "rules.save";
-inline constexpr std::string_view kFpRecipeLoad = "recipe.load";
 inline constexpr std::string_view kFpRecipeSave = "recipe.save";
 inline constexpr std::string_view kFpTrainerEval = "trainer.eval";
 inline constexpr std::string_view kFpPredictorColumn = "predictor.column";
@@ -68,12 +67,11 @@ inline constexpr std::string_view kFpBreakerProbe = "breaker.probe";
 /// Every failpoint compiled into the binary. Keep in sync with the
 /// constants above; tests/robustness_test.cc walks this list.
 inline constexpr std::string_view kAllFailpoints[] = {
-    kFpCsvOpen,    kFpCsvParse,  kFpRulesOpen,
-    kFpRulesParse, kFpRulesSave, kFpRecipeLoad,
-    kFpRecipeSave, kFpTrainerEval, kFpPredictorColumn,
-    kFpShardRead,  kFpShardRetry, kFpServeAccept,
-    kFpServeRead,  kFpServeReload, kFpBudgetCharge,
-    kFpBreakerProbe,
+    kFpCsvOpen,    kFpCsvParse,    kFpRulesOpen,
+    kFpRulesParse, kFpRulesSave,   kFpRecipeSave,
+    kFpTrainerEval, kFpPredictorColumn, kFpShardRead,
+    kFpShardRetry, kFpServeAccept, kFpServeRead,
+    kFpServeReload, kFpBudgetCharge, kFpBreakerProbe,
 };
 
 /// Process-wide registry. Thread-safe; the disarmed fast path is a single

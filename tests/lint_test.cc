@@ -135,6 +135,16 @@ TEST(LintTest, R4FiresOnAtCheckInUntrustedInputFile) {
   EXPECT_EQ(v.line, 8u);
 }
 
+TEST(LintTest, R4CoversTheEvalIdResolver) {
+  LintRun run = RunLint(Fixture("bad_r4_resolver"));
+  EXPECT_EQ(run.exit_code, 1);
+  ASSERT_EQ(run.lines.size(), 1u);
+  ParsedViolation v = Parse(run.lines[0]);
+  EXPECT_EQ(v.rule, "R4");
+  EXPECT_TRUE(EndsWith(v.file, "eval_resolver.cc")) << v.file;
+  EXPECT_EQ(v.line, 9u);
+}
+
 TEST(LintTest, R5FiresOnMissingNodiscard) {
   LintRun run = RunLint(Fixture("bad_r5"));
   EXPECT_EQ(run.exit_code, 1);

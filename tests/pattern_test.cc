@@ -1,11 +1,112 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "pattern/miner.h"
 #include "pattern/pattern.h"
 #include "table/table.h"
+#include "util/rng.h"
 
 namespace autotest::pattern {
 namespace {
+
+// The backtracking search Pattern::Matches used before it became a
+// position-set matcher; kept as the reference the matcher must agree with.
+bool ReferenceMatchFrom(const std::vector<Atom>& atoms, size_t ai,
+                        std::string_view value, size_t pos) {
+  if (ai == atoms.size()) return pos == value.size();
+  const Atom& a = atoms[ai];
+  size_t taken = 0;
+  size_t p = pos;
+  while (taken < static_cast<size_t>(a.min_len)) {
+    if (p >= value.size() || !a.MatchesChar(value[p])) return false;
+    ++p;
+    ++taken;
+  }
+  std::vector<size_t> stops = {p};
+  while ((a.max_len == Atom::kUnbounded ||
+          taken < static_cast<size_t>(a.max_len)) &&
+         p < value.size() && a.MatchesChar(value[p])) {
+    ++p;
+    ++taken;
+    stops.push_back(p);
+  }
+  for (size_t k = stops.size(); k > 0; --k) {
+    if (ReferenceMatchFrom(atoms, ai + 1, value, stops[k - 1])) return true;
+  }
+  return false;
+}
+
+TEST(PatternMatchTest, AgreesWithBacktrackingReference) {
+  // Seeded random patterns over a small alphabet (so atoms overlap and
+  // runs are ambiguous), against random values and against values sampled
+  // from the pattern itself.
+  const std::string alphabet = "ab1-9Z";
+  util::Rng rng(2024);
+  auto pick = [&](int64_t lo, int64_t hi) { return rng.UniformInt(lo, hi); };
+  size_t matched = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<Atom> atoms(static_cast<size_t>(pick(0, 6)));
+    for (Atom& a : atoms) {
+      a.cls = static_cast<AtomClass>(pick(0, 4));
+      a.literal = alphabet[static_cast<size_t>(pick(0, 5))];
+      a.min_len = static_cast<int>(pick(0, 3));
+      a.max_len = pick(0, 3) == 0 ? Atom::kUnbounded
+                                  : a.min_len + static_cast<int>(pick(0, 3));
+    }
+    const Pattern pattern(atoms);
+    std::string value;
+    if (trial % 2 == 0) {
+      for (int64_t k = pick(0, 12); k > 0; --k) {
+        value.push_back(alphabet[static_cast<size_t>(pick(0, 5))]);
+      }
+    } else {
+      // Sample a value the pattern generates, then maybe corrupt a byte.
+      static const std::string kMembers[] = {"19", "aZ", "ab", "Z"};
+      for (const Atom& a : atoms) {
+        const int64_t extra = a.max_len == Atom::kUnbounded
+                                  ? pick(0, 2)
+                                  : pick(0, a.max_len - a.min_len);
+        for (int64_t k = a.min_len + extra; k > 0; --k) {
+          if (a.cls == AtomClass::kLiteral) {
+            value.push_back(a.literal);
+          } else {
+            const std::string& m = kMembers[static_cast<size_t>(a.cls)];
+            value.push_back(m[static_cast<size_t>(
+                pick(0, static_cast<int64_t>(m.size()) - 1))]);
+          }
+        }
+      }
+      if (!value.empty() && pick(0, 3) == 0) {
+        value[static_cast<size_t>(
+            pick(0, static_cast<int64_t>(value.size()) - 1))] =
+            alphabet[static_cast<size_t>(pick(0, 5))];
+      }
+    }
+    const bool want = ReferenceMatchFrom(atoms, 0, value, 0);
+    EXPECT_EQ(pattern.Matches(value), want)
+        << pattern.ToString() << " vs '" << value << "'";
+    matched += want ? 1 : 0;
+  }
+  EXPECT_GT(matched, 1000u);
+}
+
+TEST(PatternMatchTest, AdjacentUnboundedAtomsStayPolynomial) {
+  // 40 adjacent \d+ atoms then a literal the value lacks: backtracking
+  // tries every split of 60 digits into 40 runs before failing; the
+  // position-set matcher does 40 passes over 61 positions.
+  std::string text;
+  for (int i = 0; i < 40; ++i) text += "\\d+";
+  text += "x";
+  auto pattern = Pattern::Parse(text);
+  ASSERT_TRUE(pattern.has_value());
+  EXPECT_FALSE(pattern->Matches(std::string(60, '7')));
+  EXPECT_TRUE(pattern->Matches(std::string(60, '7') + "x"));
+  EXPECT_FALSE(pattern->Matches(std::string(39, '7') + "x"));
+  EXPECT_TRUE(pattern->Matches(std::string(300, '7') + "x"));  // heap sets
+}
 
 TEST(PatternParseTest, BasicClasses) {
   auto p = Pattern::Parse("\\d+");

@@ -38,6 +38,7 @@
 #include "util/retry.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace autotest::core {
 namespace {
@@ -195,6 +196,136 @@ TEST_F(RobustnessTest, CorruptRulesNeverServeGarbage) {
   EXPECT_FALSE(TryDeserializeRules(inverted, *evals_).ok());
 }
 
+// Edits an evaluation-function id with 1-3 operations whose bytes favour
+// the id grammar (family and name separators, escapes, pattern syntax,
+// digits) over arbitrary ones, or swaps its family prefix.
+std::string MutateId(const std::string& id, util::Rng& rng) {
+  static constexpr std::string_view kGrammar =
+      ":\\{}[]+,-d0123456789azAZ\t\n";
+  auto byte = [&]() -> char {
+    if (rng.UniformInt(0, 1) == 0) {
+      return kGrammar[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(kGrammar.size()) - 1))];
+    }
+    return static_cast<char>(rng.UniformInt(0, 255));
+  };
+  auto position = [&](size_t size) {
+    return static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(size)));
+  };
+  std::string out = id;
+  const int ops = static_cast<int>(rng.UniformInt(1, 3));
+  for (int k = 0; k < ops; ++k) {
+    switch (rng.UniformInt(0, 4)) {
+      case 0:  // overwrite one byte
+        if (!out.empty()) out[position(out.size() - 1)] = byte();
+        break;
+      case 1:  // insert one byte
+        out.insert(position(out.size()), 1, byte());
+        break;
+      case 2:  // delete one byte
+        if (!out.empty()) out.erase(position(out.size() - 1), 1);
+        break;
+      case 3:  // truncate
+        out.resize(position(out.size()));
+        break;
+      case 4: {  // move the body to another (or an unknown) family
+        static constexpr std::string_view kPrefixes[] = {
+            "cta", "emb", "pat", "fun", "hash", "zzz"};
+        const size_t colon = out.find(':');
+        out = std::string(kPrefixes[rng.UniformInt(0, 5)]) +
+              (colon == std::string::npos ? ":" + out : out.substr(colon));
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+// The rule-file escaping of ids (\\, \t, \n), so a mutated id reaches the
+// resolver intact instead of breaking the line structure.
+std::string EscapeId(const std::string& id) {
+  std::string out;
+  for (char c : id) {
+    if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+TEST_F(RobustnessTest, ThousandCorruptEvalIdsResolveOrCountAsUnresolved) {
+  // The self-contained loader turns id bytes into evaluation functions,
+  // so ids are an attack surface of their own: every corruption must load
+  // (resolved to exactly the function the new id names, or counted as
+  // unresolved) or fail with a structured Status — never abort.
+  ASSERT_FALSE(model_->constraints.empty());
+  std::vector<Sdc> base;
+  const size_t stride = std::max<size_t>(1, model_->constraints.size() / 60);
+  for (size_t i = 0; i < model_->constraints.size(); i += stride) {
+    base.push_back(model_->constraints[i]);
+  }
+  std::vector<std::string> lines;
+  {
+    const std::string good = SerializeRules(base);
+    ASSERT_TRUE(TryDeserializeRuleSet(good).ok());
+    for (std::string_view line : util::Split(good, '\n')) {
+      if (!line.empty()) lines.emplace_back(line);
+    }
+  }
+  ASSERT_EQ(lines.size(), base.size() + 1);  // header + one line per rule
+  table::Column column;
+  column.name = "probe";
+  column.values = {"seattle", "6/1/2022", "a@b.com", "9999", "junk!"};
+
+  size_t resolved = 0, unresolved = 0, errors = 0;
+  for (uint64_t seed = 0; seed < 1000; ++seed) {
+    util::Rng rng(seed ^ 0x1dba5e);
+    const size_t victim = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(base.size()) - 1));
+    const std::string id = MutateId(base[victim].eval->id(), rng);
+    std::string text;
+    for (size_t l = 0; l < lines.size(); ++l) {
+      if (l == victim + 1) {
+        auto fields = util::Split(lines[l], '\t');
+        fields[1] = EscapeId(id);
+        text += util::Join(fields, "\t");
+      } else {
+        text += lines[l];
+      }
+      text += "\n";
+    }
+    auto r = TryDeserializeRuleSet(text);
+    if (!r.ok()) {
+      ++errors;
+      EXPECT_FALSE(r.status().message().empty());
+      continue;
+    }
+    EXPECT_LE(r->unresolved, 1u) << id;
+    EXPECT_EQ(r->rules.size() + r->unresolved, base.size()) << id;
+    if (r->unresolved == 0) {
+      ++resolved;
+      EXPECT_EQ(r->rules[victim].eval->id(), id);
+    } else {
+      ++unresolved;
+    }
+    SdcPredictor predictor(std::move(r->rules));
+    EXPECT_EQ(predictor.skipped_rules(), 0u);
+    EXPECT_TRUE(predictor.TryPredict(column).ok());
+  }
+  // Both outcomes must actually occur, or the mutator is not reaching the
+  // resolver's branches.
+  EXPECT_GT(resolved, 50u);
+  EXPECT_GT(unresolved, 500u);
+  EXPECT_EQ(resolved + unresolved + errors, 1000u);
+}
+
 TEST_F(RobustnessTest, PredictorDegradesOnUnservableRules) {
   // Rules that bypass the loader (constructed in-process) still can't
   // crash the serve path: they are dropped and counted.
@@ -307,15 +438,15 @@ TEST_F(RobustnessTest, TrainerFailpointDegradesGracefully) {
 }
 
 TEST_F(RobustnessTest, RecipeFailpointsAreRegistered) {
-  // recipe.load / recipe.save sit in the CLI layer (tools/autotest_cli);
-  // here we verify they are armable and deterministic so the CLI soak can
-  // rely on them.
+  // recipe.save sits in the CLI layer (tools/autotest_cli, `train` writing
+  // its provenance recipe); here we verify it is armable and deterministic
+  // so the CLI soak can rely on it. Nothing loads recipes any more, so
+  // there is no recipe.load.
   auto& reg = util::FailpointRegistry::Global();
-  ASSERT_TRUE(reg.Configure("recipe.load=on,recipe.save=on").ok());
-  EXPECT_TRUE(util::FailpointFires(util::kFpRecipeLoad));
+  ASSERT_TRUE(reg.Configure("recipe.save=on").ok());
   EXPECT_TRUE(util::FailpointFires(util::kFpRecipeSave));
-  EXPECT_GE(reg.fires(util::kFpRecipeLoad), 1u);
   EXPECT_GE(reg.fires(util::kFpRecipeSave), 1u);
+  EXPECT_FALSE(reg.Configure("recipe.load=on").ok());
 }
 
 TEST_F(RobustnessTest, ServeFailpointsAreRegistered) {
@@ -494,8 +625,8 @@ TEST_F(RobustnessTest, AllRegisteredFailpointsCoveredByThisSuite) {
   // firing test above, this list must be extended.
   const std::vector<std::string> covered = {
       "csv.open",    "csv.parse",  "rules.open",
-      "rules.parse", "rules.save", "recipe.load",
-      "recipe.save", "trainer.eval", "predictor.column",
+      "rules.parse", "rules.save", "recipe.save",
+      "trainer.eval", "predictor.column",
       "shard.read",  "shard.retry", "serve.accept",
       "serve.read",  "serve.reload", "budget.charge",
       "breaker.probe",

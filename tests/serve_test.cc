@@ -22,6 +22,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "core/serialization.h"
+#include "datagen/bench_gen.h"
 #include "core/trainer.h"
 #include "datagen/corpus_gen.h"
 #include "serve/admission.h"
@@ -38,6 +40,7 @@
 #include "serve/session.h"
 #include "serve/snapshot.h"
 #include "serve/wire.h"
+#include "table/csv.h"
 #include "typedet/eval_functions.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
@@ -777,6 +780,82 @@ TEST_F(ServeTest, ReloadUnderLoadNeverMixesVersionsInOneResponse) {
         << "version " << version << " served " << *counts.begin()
         << " rules";
   }
+}
+
+// A store built without a function set resolves every file by id, and
+// each snapshot owns the functions its rules reference: a daemon that
+// started on relational-trained rules reloads spreadsheet-trained ones and
+// serves them in full, exactly as a store holding the spreadsheet model's
+// own trained function set would.
+TEST_F(ServeTest, ReloadAcrossCorporaResolvesEveryRuleOfTheNewFile) {
+  struct Trained {
+    std::unique_ptr<typedet::EvalFunctionSet> evals;
+    std::string rules;
+  };
+  auto train = [](const datagen::CorpusProfile& profile) {
+    table::Corpus corpus = datagen::GenerateCorpus(profile);
+    typedet::EvalFunctionSetOptions opt;
+    opt.embedding_centroids_per_model = 25;
+    auto evals = std::make_unique<typedet::EvalFunctionSet>(
+        typedet::EvalFunctionSet::Build(corpus, opt));
+    core::TrainOptions topt;
+    topt.synthetic_count = 150;
+    core::TrainedModel model = core::TrainAutoTest(corpus, *evals, topt);
+    return Trained{std::move(evals), core::SerializeRules(model.constraints)};
+  };
+  const Trained relational =
+      train(datagen::RelationalTablesProfile(500, 11));
+  const Trained spreadsheet =
+      train(datagen::SpreadsheetTablesProfile(500, 22));
+  ASSERT_NE(relational.rules, spreadsheet.rules);
+
+  // One single-column request per benchmark column, so every column's
+  // detections are compared.
+  std::vector<std::string> payloads;
+  const datagen::LabeledBenchmark bench = datagen::WithSyntheticErrors(
+      datagen::GenerateBenchmark(datagen::RtBenchProfile(120, 5)), 0.2, 5);
+  for (const auto& labeled : bench.columns) {
+    table::Table t;
+    t.columns.push_back(labeled.column);
+    Request request;
+    request.verb = "check";
+    request.table = labeled.column.name;
+    request.body = table::WriteCsv(t);
+    payloads.push_back(SerializeRequest(request));
+  }
+
+  const std::string path = "/tmp/autotest_serve_cross_corpus.sdc";
+  const std::string ref_path = "/tmp/autotest_serve_cross_corpus_ref.sdc";
+  ServeOptions options;
+  SnapshotStore store(/*evals=*/nullptr, path);
+  // Serves `rules` from `store` and from a store over the trained set;
+  // returns the response bodies after asserting they agree.
+  auto serve_and_compare = [&](const Trained& trained, uint64_t version) {
+    WriteFile(path, trained.rules);
+    WriteFile(ref_path, trained.rules);
+    EXPECT_TRUE(store.TryReload().ok());
+    EXPECT_EQ(store.version(), version);
+    EXPECT_EQ(store.Get()->unresolved(), 0u);
+    SnapshotStore reference(trained.evals.get(), ref_path);
+    EXPECT_TRUE(reference.TryReload().ok());
+    EXPECT_EQ(store.Get()->predictor().num_rules(),
+              reference.Get()->predictor().num_rules());
+    std::vector<std::string> bodies;
+    for (const std::string& payload : payloads) {
+      Response got = HandlePayload(payload, store, options, -1);
+      Response want = HandlePayload(payload, reference, options, -1);
+      EXPECT_EQ(got.code, StatusCode::kOk);
+      EXPECT_EQ(got.Field("version"), std::to_string(version));
+      EXPECT_EQ(got.body, want.body);
+      bodies.push_back(got.body);
+    }
+    return bodies;
+  };
+  const auto before = serve_and_compare(relational, 1);
+  const auto after = serve_and_compare(spreadsheet, 2);
+  EXPECT_NE(before, after) << "both rule sets answered identically";
+  std::remove(path.c_str());
+  std::remove(ref_path.c_str());
 }
 
 // ---------------------------------------------------------- failpoints --

@@ -588,7 +588,8 @@ void CheckR3(const std::vector<SourceFile>& files,
 /// Files whose whole job is parsing untrusted bytes; DESIGN.md §4c moved
 /// them to Status, so a new AT_CHECK there would abort on bad *input*.
 constexpr std::string_view kR4Basenames[] = {
-    "csv.cc", "csv.h", "serialization.cc", "serialization.h",
+    "csv.cc",           "csv.h",           "serialization.cc",
+    "serialization.h",  "eval_resolver.cc", "eval_resolver.h",
     "autotest_cli.cpp"};
 
 bool InR4Scope(const std::string& normalized_path) {
@@ -1096,6 +1097,7 @@ constexpr BlockingPattern kBlockingPatterns[] = {
     {"TryWriteFrame(", true, "TryWriteFrame() [socket I/O]"},
     {"TryReadCsvFile(", true, "TryReadCsvFile() [file I/O]"},
     {"TryLoadRulesFromFile(", true, "TryLoadRulesFromFile() [file I/O]"},
+    {"TryLoadRuleSet(", true, "TryLoadRuleSet() [file I/O]"},
     {"ifstream", true, "std::ifstream [file I/O]"},
     {"ofstream", true, "std::ofstream [file I/O]"},
 };

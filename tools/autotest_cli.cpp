@@ -7,12 +7,11 @@
 //   autotest serve --rules rules.sdc --port N     (long-lived daemon)
 //   autotest query data.csv --port N              (client for serve)
 //
-// Rule files record the training recipe (corpus profile, sizes, shard
-// count) in a side header so `check` can rebuild the matching evaluation
-// functions. When training degraded to a shard quorum (lost shards under
-// faults), the recipe also records which shards were lost and why, so
-// `check` rebuilds the exact same degraded corpus instead of silently
-// unresolving every rule.
+// Rule files are self-contained: `check --rules`, `serve` and `rules`
+// rebuild every evaluation function from the rule ids alone
+// (core::TryLoadRuleSet), with no corpus and no training. `train` also
+// writes the training recipe (corpus profile, sizes, shard count, and any
+// shards lost under a degraded quorum) next to the rules as provenance.
 //
 // Transient I/O failures (kIoError / kResourceExhausted, including injected
 // chaos faults) are retried with deterministic exponential backoff;
@@ -24,8 +23,8 @@
 //   0  success
 //   1  internal error
 //   2  usage error (bad command line)
-//   3  invalid input (malformed/invalid CSV, rule file or recipe)
-//   4  missing file (CSV, rules or recipe not found)
+//   3  invalid input (malformed/invalid CSV or rule file, bad options)
+//   4  missing file (CSV or rules not found)
 //   5  I/O failure (read/write/rename failed, injected I/O faults)
 //   6  resource exhausted (input over limits, injected allocation faults,
 //      expired request deadlines)
@@ -65,7 +64,6 @@
 #include "util/parallel/thread_pool.h"
 #include "util/retry.h"
 #include "util/status.h"
-#include "util/string_util.h"
 
 namespace {
 
@@ -116,8 +114,8 @@ int Fail(const Status& status) {
   return ExitCodeFor(status);
 }
 
-// One retry policy for every CLI-level I/O operation (recipe/rules
-// load/save, per-table CSV reads, shard loads). --max-retries N means N
+// One retry policy for every CLI-level I/O operation (rules load/save,
+// recipe save, per-table CSV reads, shard loads). --max-retries N means N
 // retries beyond the first attempt. Backoffs are kept short: the CLI
 // retries in-process faults and local-disk hiccups, not remote services.
 util::RetryPolicy CliRetryPolicy(size_t max_retries) {
@@ -130,8 +128,8 @@ util::RetryPolicy CliRetryPolicy(size_t max_retries) {
 }
 
 /// Degraded-mode provenance: which shards were lost at train time and the
-/// final StatusCode each died with. Recorded in the recipe so `check` can
-/// rebuild the exact degraded corpus.
+/// final StatusCode each died with. Recorded in the recipe for operators;
+/// nothing reads it back.
 struct LostShard {
   size_t shard = 0;
   StatusCode code = StatusCode::kInternal;
@@ -142,8 +140,7 @@ struct Recipe {
   size_t columns = 2000;
   size_t centroids = 120;
   size_t synthetic = 800;
-  /// Corpus generation shards; 1 = monolithic (and bit-compatible with
-  /// pre-sharding recipe files, which load as shards=1).
+  /// Corpus generation shards; 1 = monolithic.
   size_t shards = 8;
   std::vector<LostShard> lost;  // empty = trained on the full corpus
 };
@@ -175,18 +172,6 @@ std::string RecipePath(const std::string& rules_path) {
     return util::InvalidArgumentError(source +
                                       ": field 'shards' must be positive");
   }
-  if (r.lost.size() >= r.shards) {
-    return util::InvalidArgumentError(
-        source + ": degraded provenance loses all " +
-        std::to_string(r.shards) + " shards");
-  }
-  for (const LostShard& l : r.lost) {
-    if (l.shard >= r.shards) {
-      return util::InvalidArgumentError(
-          source + ": degraded shard index " + std::to_string(l.shard) +
-          " out of range (have " + std::to_string(r.shards) + " shards)");
-    }
-  }
   return Status::Ok();
 }
 
@@ -200,58 +185,6 @@ std::string FormatDegradedLine(const Recipe& r) {
     out += util::StatusCodeName(r.lost[i].code);
   }
   return out;
-}
-
-[[nodiscard]] Status ParseDegradedLine(const std::string& line,
-                                       const std::string& source,
-                                       Recipe* r) {
-  auto malformed = [&](const std::string& why) {
-    return util::DataLossError(
-        source + ": degraded provenance line is malformed (" + why +
-        "); want: degraded <lost>/<total> <shard>:<CODE>,...");
-  };
-  std::istringstream in(line);
-  std::string tag, counts, entries;
-  if (!(in >> tag >> counts >> entries) || tag != "degraded") {
-    return malformed("expected 3 fields");
-  }
-  size_t slash = counts.find('/');
-  if (slash == std::string::npos) return malformed("missing '/' in counts");
-  char* endp = nullptr;
-  unsigned long long lost_n =
-      std::strtoull(counts.substr(0, slash).c_str(), &endp, 10);
-  unsigned long long total_n =
-      std::strtoull(counts.substr(slash + 1).c_str(), &endp, 10);
-  if (total_n != r->shards) {
-    return malformed("total " + std::to_string(total_n) +
-                     " does not match shard count " +
-                     std::to_string(r->shards));
-  }
-  for (std::string_view entry : util::Split(entries, ',')) {
-    size_t colon = entry.find(':');
-    if (colon == std::string_view::npos) {
-      return malformed("entry '" + std::string(entry) + "' missing ':'");
-    }
-    LostShard l;
-    std::string idx(entry.substr(0, colon));
-    char* idx_end = nullptr;
-    l.shard = static_cast<size_t>(std::strtoull(idx.c_str(), &idx_end, 10));
-    if (idx_end != idx.c_str() + idx.size()) {
-      return malformed("shard index '" + idx + "' is not a number");
-    }
-    auto code = util::StatusCodeFromName(entry.substr(colon + 1));
-    if (!code.has_value()) {
-      return malformed("unknown status code '" +
-                       std::string(entry.substr(colon + 1)) + "'");
-    }
-    l.code = *code;
-    r->lost.push_back(l);
-  }
-  if (r->lost.size() != lost_n) {
-    return malformed("counted " + std::to_string(r->lost.size()) +
-                     " entries, header says " + std::to_string(lost_n));
-  }
-  return Status::Ok();
 }
 
 // Atomic like TrySaveRulesToFile: temp file + rename, so an interrupted
@@ -284,39 +217,6 @@ std::string FormatDegradedLine(const Recipe& r) {
   return Status::Ok();
 }
 
-[[nodiscard]] Result<Recipe> TryLoadRecipe(const std::string& rules_path) {
-  const std::string path = RecipePath(rules_path);
-  if (auto injected = util::FailpointFiresCode(util::kFpRecipeLoad,
-                                               StatusCode::kIoError)) {
-    return util::InjectedFault(*injected, util::kFpRecipeLoad)
-        .WithContext("loading recipe " + path);
-  }
-  std::ifstream in(path);
-  if (!in) return util::NotFoundError("cannot open recipe " + path);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return util::DataLossError("recipe " + path + " is empty");
-  }
-  Recipe r;
-  {
-    std::istringstream first(line);
-    if (!(first >> r.corpus >> r.columns >> r.centroids >> r.synthetic)) {
-      return util::DataLossError(
-          "recipe " + path +
-          " is malformed (want: <corpus> <columns> <centroids> <synthetic> "
-          "[shards])");
-    }
-    // The 5th field arrived with sharded generation; recipes written
-    // before it trained on the monolithic (single-shard) corpus.
-    if (!(first >> r.shards)) r.shards = 1;
-  }
-  if (std::getline(in, line) && !line.empty()) {
-    AT_RETURN_IF_ERROR(ParseDegradedLine(line, "recipe " + path, &r));
-  }
-  AT_RETURN_IF_ERROR(ValidateRecipe(r, "recipe " + path));
-  return r;
-}
-
 datagen::CorpusProfile ProfileFor(const Recipe& r) {
   if (r.corpus == "spreadsheet") {
     return datagen::SpreadsheetTablesProfile(r.columns);
@@ -327,37 +227,16 @@ datagen::CorpusProfile ProfileFor(const Recipe& r) {
   return datagen::RelationalTablesProfile(r.columns);
 }
 
-/// Builds the training corpus shard-by-shard. When the recipe carries
-/// degraded provenance, only the surviving shards are generated — all of
-/// them required — so the rebuilt corpus is byte-identical to the one the
-/// rules were trained on. Otherwise all shards are generated under
-/// `quorum`, and `report` records any degradation for the caller to stamp.
+/// Builds the training corpus shard-by-shard under `quorum`; `report`
+/// records any degradation for the caller to stamp into the recipe.
 [[nodiscard]] Result<table::Corpus> TryBuildCorpus(
     const Recipe& r, const util::RetryPolicy& retry, double quorum,
     table::ShardLoadReport* report) {
   table::ShardLoadOptions options;
   options.retry = retry;
   options.min_shard_fraction = quorum;
-  std::vector<size_t> include;
-  if (!r.lost.empty()) {
-    std::vector<bool> is_lost(r.shards, false);
-    for (const LostShard& l : r.lost) is_lost[l.shard] = true;
-    for (size_t s = 0; s < r.shards; ++s) {
-      if (!is_lost[s]) include.push_back(s);
-    }
-    options.min_shard_fraction = 1.0;  // need exactly the survivors
-    // The masked rebuild never attempts the provenance-lost shards, so
-    // the loader cannot count them; surface the degradation here so a
-    // `--metrics-dump` on a degraded check still reports shard.lost.
-    metrics::Registry::Global()
-        .GetCounter(metrics::kMShardLost)
-        .Increment(r.lost.size());
-    metrics::Registry::Global()
-        .GetCounter(metrics::kMShardDegradedLoads)
-        .Increment();
-  }
   return datagen::TryGenerateCorpusSharded(ProfileFor(r), r.shards, options,
-                                           report, include);
+                                           report);
 }
 
 [[nodiscard]] Result<core::AutoTest> TryTrainOnCorpus(const Recipe& r,
@@ -384,8 +263,8 @@ datagen::CorpusProfile ProfileFor(const Recipe& r) {
   return at;
 }
 
-/// Corpus build + train, honoring degraded provenance. Prints the shard
-/// report when anything noteworthy (retries or lost shards) happened.
+/// Corpus build + train. Prints the shard report when anything noteworthy
+/// (retries or lost shards) happened.
 [[nodiscard]] Result<core::AutoTest> TryTrainFromRecipe(
     const Recipe& r, const util::RetryPolicy& retry, double quorum = 1.0,
     table::ShardLoadReport* report_out = nullptr) {
@@ -459,8 +338,8 @@ int CmdTrain(int argc, char** argv) {
   table::ShardLoadReport report;
   auto at = TryTrainFromRecipe(recipe, retry, quorum, &report);
   if (!at.ok()) return Fail(at.status());
-  // Stamp which shards the model was actually trained without, so `check`
-  // rebuilds this exact degraded corpus.
+  // Stamp which shards the model was actually trained without (provenance
+  // for operators; loading the rules never needs it).
   for (const table::ShardOutcome& outcome : report.outcomes) {
     if (outcome.code != StatusCode::kOk) {
       recipe.lost.push_back(LostShard{outcome.shard, outcome.code});
@@ -491,6 +370,28 @@ int CmdTrain(int argc, char** argv) {
                at->model().constraints.size(), rules.size(),
                out_path.c_str());
   return kExitOk;
+}
+
+void WarnUnresolved(size_t unresolved) {
+  if (unresolved > 0) {
+    std::fprintf(stderr,
+                 "warning: %zu unresolved rules (their evaluation-function "
+                 "ids name nothing this build can construct) were "
+                 "skipped\n",
+                 unresolved);
+  }
+}
+
+/// The one rule-loading path of `check`, `serve` and `rules`: the file's
+/// ids are resolved into functions the returned set owns (no corpus, no
+/// training), with transient read failures retried.
+[[nodiscard]] Result<core::RuleSet> TryLoadServableRules(
+    const std::string& rules_path, const util::RetryPolicy& retry) {
+  auto loaded = util::RetryCall(retry, util::RealClock(), /*stream=*/1004, [&] {
+    return core::TryLoadRuleSet(rules_path);
+  });
+  if (loaded.ok()) WarnUnresolved(loaded->unresolved);
+  return loaded;
 }
 
 // Checks one table against the predictor; returns the per-table status.
@@ -565,56 +466,30 @@ int CmdCheck(int argc, char** argv) {
   }
   const util::RetryPolicy retry = CliRetryPolicy(max_retries);
 
-  Recipe recipe;
+  // A rule file brings its own evaluation functions (held by `loaded`
+  // for as long as the predictor points into them); without one, `check`
+  // trains a quick model in-process.
+  core::RuleSet loaded;
+  std::optional<core::AutoTest> at;
   if (!rules_path.empty()) {
-    auto loaded_recipe =
-        util::RetryCall(retry, util::RealClock(), /*stream=*/1003,
-                        [&] { return TryLoadRecipe(rules_path); });
-    if (loaded_recipe.ok()) {
-      recipe = *loaded_recipe;
-    } else if (loaded_recipe.status().code() != StatusCode::kNotFound) {
-      // A missing recipe falls back to the default; a corrupt or
-      // unreadable one is a hard error (it would rebuild the wrong
-      // evaluation functions and silently unresolve every rule).
-      return Fail(loaded_recipe.status());
-    }
+    auto rule_set = TryLoadServableRules(rules_path, retry);
+    if (!rule_set.ok()) return Fail(rule_set.status());
+    loaded = std::move(*rule_set);
   } else {
-    recipe.columns = 1500;  // quick in-process training
-  }
-  if (!recipe.lost.empty()) {
-    std::fprintf(stderr,
-                 "note: rules were trained in degraded mode (%zu/%zu shards "
-                 "lost); rebuilding that corpus\n",
-                 recipe.lost.size(), recipe.shards);
-  }
-  auto at = TryTrainFromRecipe(recipe, retry);
-  if (!at.ok()) return Fail(at.status());
-
-  std::vector<core::Sdc> rules;
-  if (!rules_path.empty()) {
-    size_t unresolved = 0;
-    auto loaded =
-        util::RetryCall(retry, util::RealClock(), /*stream=*/1004, [&] {
-          return core::TryLoadRulesFromFile(rules_path, at->evals(),
-                                            &unresolved);
-        });
-    if (!loaded.ok()) return Fail(loaded.status());
-    if (unresolved > 0) {
-      std::fprintf(stderr, "warning: %zu rules reference unknown "
-                   "evaluation functions and were skipped\n", unresolved);
-    }
-    rules = std::move(*loaded);
-  } else {
+    Recipe recipe;
+    recipe.columns = 1500;
+    auto trained = TryTrainFromRecipe(recipe, retry);
+    if (!trained.ok()) return Fail(trained.status());
+    at.emplace(std::move(*trained));
     auto sel = at->Select(core::Variant::kFineSelect);
     for (size_t i : sel.selected) {
-      rules.push_back(at->model().constraints[i]);
+      loaded.rules.push_back(at->model().constraints[i]);
     }
   }
-  core::SdcPredictor predictor(std::move(rules));
+  core::SdcPredictor predictor(std::move(loaded.rules));
   if (predictor.skipped_rules() > 0) {
     std::fprintf(stderr,
-                 "warning: %zu invalid/unresolved rules dropped by the "
-                 "predictor\n",
+                 "warning: %zu invalid rules dropped by the predictor\n",
                  predictor.skipped_rules());
   }
 
@@ -663,29 +538,6 @@ int64_t FileMtime(const std::string& path) {
   struct stat st{};
   if (::stat(path.c_str(), &st) != 0) return -1;
   return static_cast<int64_t>(st.st_mtime);
-}
-
-/// Trains the serving-side evaluation functions from the rules file's
-/// recipe (mirroring `check`: a missing recipe falls back to the default,
-/// a corrupt one is a hard error).
-[[nodiscard]] Result<core::AutoTest> TryBuildServingModel(
-    const std::string& rules_path, const util::RetryPolicy& retry) {
-  Recipe recipe;
-  auto loaded_recipe =
-      util::RetryCall(retry, util::RealClock(), /*stream=*/1003,
-                      [&] { return TryLoadRecipe(rules_path); });
-  if (loaded_recipe.ok()) {
-    recipe = *loaded_recipe;
-  } else if (loaded_recipe.status().code() != StatusCode::kNotFound) {
-    return loaded_recipe.status();
-  }
-  if (!recipe.lost.empty()) {
-    std::fprintf(stderr,
-                 "note: rules were trained in degraded mode (%zu/%zu shards "
-                 "lost); rebuilding that corpus\n",
-                 recipe.lost.size(), recipe.shards);
-  }
-  return TryTrainFromRecipe(recipe, retry);
 }
 
 int CmdServe(int argc, char** argv) {
@@ -806,15 +658,15 @@ int CmdServe(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   const util::RetryPolicy retry = CliRetryPolicy(max_retries);
-  auto at = TryBuildServingModel(rules_path, retry);
-  if (!at.ok()) return Fail(at.status());
-
-  serve::SnapshotStore store(&at->evals(), rules_path);
+  // A null function set: every load, the first and each reload, resolves
+  // the file's ids itself, so a reload may carry rules from any corpus.
+  serve::SnapshotStore store(/*evals=*/nullptr, rules_path);
   Status loaded = util::RetryCall(retry, util::RealClock(), /*stream=*/1005,
                                   [&] { return store.TryReload(); });
   if (!loaded.ok()) {
     return Fail(Status(loaded).WithContext("loading the initial rule set"));
   }
+  WarnUnresolved(store.Get()->unresolved());
   std::fprintf(stderr, "serve: rule set v%llu loaded from %s (%zu rules)\n",
                static_cast<unsigned long long>(store.version()),
                rules_path.c_str(), store.Get()->predictor().num_rules());
@@ -853,6 +705,7 @@ int CmdServe(int argc, char** argv) {
       g_serve_reload = 0;
       Status st = store.TryReload();
       if (st.ok()) {
+        WarnUnresolved(store.Get()->unresolved());
         std::fprintf(stderr, "serve: reloaded rule set -> v%llu\n",
                      static_cast<unsigned long long>(store.version()));
       } else {
@@ -1045,29 +898,13 @@ int CmdRules(int argc, char** argv) {
     std::fprintf(stderr, "usage: autotest rules <rules.sdc>\n");
     return kExitUsage;
   }
-  std::string rules_path = argv[0];
-  const util::RetryPolicy retry = CliRetryPolicy(3);
-  Recipe recipe;
-  auto loaded_recipe =
-      util::RetryCall(retry, util::RealClock(), /*stream=*/1003,
-                      [&] { return TryLoadRecipe(rules_path); });
-  if (loaded_recipe.ok()) {
-    recipe = *loaded_recipe;
-  } else if (loaded_recipe.status().code() != StatusCode::kNotFound) {
-    return Fail(loaded_recipe.status());
-  }
-  auto at = TryTrainFromRecipe(recipe, retry);
-  if (!at.ok()) return Fail(at.status());
-  size_t unresolved = 0;
-  auto rules = util::RetryCall(retry, util::RealClock(), /*stream=*/1004, [&] {
-    return core::TryLoadRulesFromFile(rules_path, at->evals(), &unresolved);
-  });
-  if (!rules.ok()) return Fail(rules.status());
-  for (const auto& r : *rules) {
+  auto loaded = TryLoadServableRules(argv[0], CliRetryPolicy(3));
+  if (!loaded.ok()) return Fail(loaded.status());
+  for (const auto& r : loaded->rules) {
     std::fprintf(g_report, "%s\n", r.Describe().c_str());
   }
-  std::fprintf(g_report, "(%zu rules, %zu unresolved)\n", rules->size(),
-               unresolved);
+  std::fprintf(g_report, "(%zu rules, %zu unresolved)\n",
+               loaded->rules.size(), loaded->unresolved);
   return kExitOk;
 }
 

@@ -10,7 +10,8 @@
 #      in output;
 #   2. permanent injection losing a within-quorum subset of shards: train
 #      must succeed degraded and stamp lost-shard provenance into the
-#      recipe, and check must accept the degraded rules;
+#      recipe, and check must serve the degraded rules straight from the
+#      rule file (every id resolved, no retraining);
 #   3. permanent injection above the quorum: train must fail fast with the
 #      structured invalid-input exit code, without burning retries.
 #
@@ -119,9 +120,15 @@ grep -q 'degraded mode' "$WORK/degraded.err" \
   || fail "degraded train did not warn about degraded mode"
 "$AUTOTEST" check "$WORK/table.csv" --rules "$WORK/degraded.sdc" \
     > /dev/null 2> "$WORK/degraded_check.err" \
-  || fail "check of degraded rules exited $?"
-grep -q 'rebuilding that corpus' "$WORK/degraded_check.err" \
-  || fail "check did not rebuild the degraded corpus from provenance"
+  || fail "check of degraded rules exited $? ($(cat "$WORK/degraded_check.err"))"
+grep -q 'unresolved' "$WORK/degraded_check.err" \
+  && fail "check left degraded rules unresolved: $(cat "$WORK/degraded_check.err")"
+grep -q 'training on' "$WORK/degraded_check.err" \
+  && fail "check retrained instead of loading the rule file"
+"$AUTOTEST" rules "$WORK/degraded.sdc" > "$WORK/degraded_rules.out" \
+    2> /dev/null || fail "rules listing of degraded rules exited $?"
+grep -q ' 0 unresolved)$' "$WORK/degraded_rules.out" \
+  || fail "degraded rules do not all resolve: $(tail -1 "$WORK/degraded_rules.out")"
 echo "chaos_soak: degraded scenario ok (2/6 shards lost, provenance stamped)"
 
 # --- scenario 3: above-quorum permanent loss fails fast -----------------
