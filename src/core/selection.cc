@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <queue>
 
 #include "util/check.h"
 #include "util/hashing.h"
@@ -30,8 +28,8 @@ uint64_t HashIds(const std::vector<uint32_t>& ids) {
 
 // Deterministic tie-break perturbation on the x objectives: strictly
 // negative and unique per rule, ~1e-5 in magnitude. It makes the LP
-// optimum generically unique, which is what lets the dense tableau, the
-// revised simplex, and warm re-solves land on the same vertex and
+// optimum generically unique, which is what lets cold solves, warm
+// re-solves and the test-tree dense oracle land on the same vertex and
 // therefore the same rounded selection. The scale matters on both sides:
 // pairwise (and small-subset) perturbation differences must stay well
 // above the simplex pricing tolerance (1e-9) or alternate optima within
@@ -200,11 +198,8 @@ IncrementalSelector::BuiltLp IncrementalSelector::BuildProgram(
   fpr_c.rhs = options_.fpr_budget;
   base.AddConstraint(std::move(fpr_c));
 
-  lp::RevisedSimplexOptions lp_opt;
-  lp_opt.refactor_interval = options_.refactor_interval;
   BuiltLp built;
-  built.solver =
-      std::make_unique<lp::IncrementalSolver>(std::move(base), lp_opt);
+  built.solver = std::make_unique<lp::IncrementalSolver>(std::move(base));
   built.y_var_of_j.assign(model_.num_synthetic, kNoVar);
   for (size_t r : rules) AppendColumn(&built, r);
   return built;
@@ -228,17 +223,6 @@ void IncrementalSelector::AppendColumn(BuiltLp* built, size_t rule) const {
   terms.push_back({model_.num_synthetic + 1, model_.constraints[rule].fpr});
   built->x_vars.push_back(built->solver->AddVariable(
       PerturbObjective(rule), 1.0, terms));
-}
-
-lp::Solution IncrementalSelector::RunSolver(BuiltLp* built,
-                                            bool* warm_out) const {
-  if (options_.solver == SelectionSolver::kDenseTableau) {
-    *warm_out = false;
-    return lp::SolveLpDense(built->solver->program());
-  }
-  lp::Solution sol = built->solver->Solve();
-  *warm_out = built->solver->last_solve_was_warm();
-  return sol;
 }
 
 void IncrementalSelector::RoundAndFinish(const lp::Solution& sol,
@@ -307,58 +291,6 @@ std::vector<size_t> IncrementalSelector::PrefilteredRules() const {
   return rules;
 }
 
-SelectionResult IncrementalSelector::RunGreedy() const {
-  // Lazy greedy (CELF-style) weighted max coverage: each pop either acts
-  // on a gain recomputed at the current selection epoch or refreshes a
-  // stale one. Deterministic: ties on gain break towards the earlier
-  // kept position, and there is no rounding step.
-  SelectionResult result;
-  result.used_greedy = true;
-  result.lp_status = lp::SolveStatus::kOptimal;
-  result.lp_num_variables = kept_.size();
-
-  struct Entry {
-    double gain;
-    size_t pos;
-    bool operator<(const Entry& o) const {
-      if (gain != o.gain) return gain < o.gain;
-      return pos > o.pos;  // prefer earlier positions on ties
-    }
-  };
-  std::priority_queue<Entry> pq;
-  for (size_t pos = 0; pos < kept_.size(); ++pos) {
-    pq.push({static_cast<double>(eligible_[kept_[pos]].size()), pos});
-  }
-  std::vector<uint8_t> covered(model_.num_synthetic, 0);
-  std::vector<size_t> epoch(kept_.size(), static_cast<size_t>(-1));
-  size_t cur_epoch = 0;
-  double fpr_sum = 0.0;
-  double coverage = 0.0;
-  while (!pq.empty() && result.selected.size() < options_.size_budget) {
-    Entry e = pq.top();
-    pq.pop();
-    size_t rule = kept_[e.pos];
-    double fpr = model_.constraints[rule].fpr;
-    if (fpr_sum + fpr > options_.fpr_budget + 1e-12) continue;  // never fits
-    if (epoch[e.pos] != cur_epoch) {
-      double g = 0.0;
-      for (uint32_t j : eligible_[rule]) g += covered[j] ? 0.0 : 1.0;
-      epoch[e.pos] = cur_epoch;
-      if (g > 0.0) pq.push({g, e.pos});
-      continue;
-    }
-    for (uint32_t j : eligible_[rule]) covered[j] = 1;
-    coverage += e.gain;
-    fpr_sum += fpr;
-    result.selected.push_back(rule);
-    ++cur_epoch;
-  }
-  std::sort(result.selected.begin(), result.selected.end());
-  result.lp_objective = coverage;
-  result.greedy_opt_bound = coverage / (1.0 - 1.0 / std::exp(1.0));
-  return result;
-}
-
 SelectionResult IncrementalSelector::Reselect(size_t num_candidates) {
   auto t0 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
   auto finish = [&](SelectionResult result) {
@@ -373,35 +305,25 @@ SelectionResult IncrementalSelector::Reselect(size_t num_candidates) {
     return finish(result);
   }
 
-  if (options_.solver == SelectionSolver::kGreedy ||
-      (options_.greedy_fallback_threshold > 0 &&
-       kept_.size() > options_.greedy_fallback_threshold)) {
-    return finish(RunGreedy());
-  }
-
-  SelectionResult result;
-  bool warm = false;
+  // The LP over the kept stream is persistent and warm-startable; a
+  // prefiltered active set is solved once in a throwaway program.
+  const std::vector<size_t>* active = &kept_;
+  BuiltLp* program = &lp_;
+  std::vector<size_t> prefiltered;
+  BuiltLp one_shot;
   if (kept_.size() > options_.max_lp_variables) {
-    // Prefiltered one-shot: the active set is no longer a prefix of the
-    // kept stream, so warm reuse is off and the persistent LP is dropped.
+    // The active set is no longer a prefix of the kept stream, so warm
+    // reuse is off and the persistent LP is dropped.
     lp_.solver.reset();
     lp_.x_vars.clear();
     lp_.y_var_of_j.clear();
     lp_cols_built_ = 0;
     structure_dirty_ = true;
-    std::vector<size_t> active = PrefilteredRules();
-    BuiltLp built = BuildProgram(active);
-    lp::Solution sol = RunSolver(&built, &warm);
-    result.lp_status = sol.status;
-    result.lp_num_variables = built.solver->num_vars();
-    result.lp_num_rows = built.solver->num_rows();
-    result.warm_started = warm;
-    if (sol.status != lp::SolveStatus::kOptimal) return finish(result);
-    RoundAndFinish(sol, active, built.x_vars, &result);
-    return finish(result);
-  }
-
-  if (structure_dirty_ || lp_.solver == nullptr) {
+    prefiltered = PrefilteredRules();
+    one_shot = BuildProgram(prefiltered);
+    active = &prefiltered;
+    program = &one_shot;
+  } else if (structure_dirty_ || lp_.solver == nullptr) {
     lp_ = BuildProgram(kept_);
     lp_cols_built_ = kept_.size();
     structure_dirty_ = false;
@@ -411,13 +333,16 @@ SelectionResult IncrementalSelector::Reselect(size_t num_candidates) {
     }
     lp_cols_built_ = kept_.size();
   }
-  lp::Solution sol = RunSolver(&lp_, &warm);
+
+  SelectionResult result;
+  const lp::Solution& sol = program->solver->Solve();
   result.lp_status = sol.status;
-  result.lp_num_variables = lp_.solver->num_vars();
-  result.lp_num_rows = lp_.solver->num_rows();
-  result.warm_started = warm;
-  if (sol.status != lp::SolveStatus::kOptimal) return finish(result);
-  RoundAndFinish(sol, kept_, lp_.x_vars, &result);
+  result.lp_num_variables = program->solver->num_vars();
+  result.lp_num_rows = program->solver->num_rows();
+  result.warm_started = program->solver->last_solve_was_warm();
+  if (sol.status == lp::SolveStatus::kOptimal) {
+    RoundAndFinish(sol, *active, program->x_vars, &result);
+  }
   return finish(result);
 }
 

@@ -12,20 +12,6 @@
 
 namespace autotest::core {
 
-/// Which engine solves the CSS-LP relaxation (paper Eq. 14-18).
-enum class SelectionSolver {
-  /// Sparse revised simplex (lp::SolveLp); warm-startable across
-  /// candidate additions via lp::IncrementalSolver. Default.
-  kRevisedSimplex,
-  /// Retained dense tableau reference (lp::SolveLpDense), kept for
-  /// equivalence checking while the deprecation window is open.
-  kDenseTableau,
-  /// Skip the LP entirely: lazy greedy weighted max coverage under both
-  /// budgets, with the classic (1 - 1/e) approximation guarantee on the
-  /// size-budget relaxation. Deterministic (no randomized rounding).
-  kGreedy,
-};
-
 /// Options for the CSS / FSS selection step (paper Section 5.3).
 struct SelectionOptions {
   size_t size_budget = 500;  // B_size
@@ -44,15 +30,6 @@ struct SelectionOptions {
   /// concurrency). Results are written to per-candidate slots, so the
   /// selection outcome is independent of this setting.
   size_t num_threads = 0;
-  /// Engine for the LP relaxation (or the greedy bypass).
-  SelectionSolver solver = SelectionSolver::kRevisedSimplex;
-  /// When > 0 and more than this many deduplicated candidates survive,
-  /// selection drops to the greedy path regardless of `solver` (the LP is
-  /// O(iterations x nonzeros); greedy is near-linear in the candidates).
-  size_t greedy_fallback_threshold = 0;
-  /// Revised-simplex basis refactorization cadence: number of eta updates
-  /// between sparse-LU rebuilds.
-  size_t refactor_interval = 64;
 };
 
 struct SelectionResult {
@@ -63,14 +40,9 @@ struct SelectionResult {
   size_t lp_num_variables = 0;
   size_t lp_num_rows = 0;
   double seconds = 0.0;
-  /// True when the greedy path produced the selection (no LP, no rounding).
-  bool used_greedy = false;
   /// True when the LP re-priced from a previous optimal basis instead of
   /// running the full two-phase method.
   bool warm_started = false;
-  /// Greedy path only: upper bound on the optimal coverage implied by the
-  /// (1 - 1/e) guarantee, i.e. achieved coverage / (1 - 1/e).
-  double greedy_opt_bound = 0.0;
 };
 
 /// Coarse-grained SDC Selection (Algorithm 1): LP-relaxation of the
@@ -144,12 +116,10 @@ class IncrementalSelector {
   void DedupStream(size_t lo, size_t hi);
   BuiltLp BuildProgram(const std::vector<size_t>& rules) const;
   void AppendColumn(BuiltLp* built, size_t rule) const;
-  lp::Solution RunSolver(BuiltLp* built, bool* warm_out) const;
   void RoundAndFinish(const lp::Solution& sol,
                       const std::vector<size_t>& active_rules,
                       const std::vector<size_t>& x_vars,
                       SelectionResult* result) const;
-  SelectionResult RunGreedy() const;
   std::vector<size_t> PrefilteredRules() const;
 
   const TrainedModel& model_;

@@ -412,21 +412,4 @@ Result<RuleSet> TryLoadRuleSet(const std::string& path) {
   return set;
 }
 
-bool SaveRulesToFile(const std::vector<Sdc>& rules,
-                     const std::string& path) {
-  return TrySaveRulesToFile(rules, path).ok();
-}
-
-std::optional<std::vector<Sdc>> DeserializeRules(
-    std::string_view text, const typedet::EvalFunctionSet& evals,
-    size_t* unresolved) {
-  return TryDeserializeRules(text, evals, unresolved).ToOptional();
-}
-
-std::optional<std::vector<Sdc>> LoadRulesFromFile(
-    const std::string& path, const typedet::EvalFunctionSet& evals,
-    size_t* unresolved) {
-  return TryLoadRulesFromFile(path, evals, unresolved).ToOptional();
-}
-
 }  // namespace autotest::core

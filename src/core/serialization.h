@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -98,15 +97,6 @@ struct RuleSet {
 /// rules.sdc behind. kIoError on any write/rename failure.
 [[nodiscard]] util::Status TrySaveRulesToFile(const std::vector<Sdc>& rules,
                                               const std::string& path);
-
-/// Legacy shims over the Try* functions; they discard the diagnostic.
-bool SaveRulesToFile(const std::vector<Sdc>& rules, const std::string& path);
-std::optional<std::vector<Sdc>> DeserializeRules(
-    std::string_view text, const typedet::EvalFunctionSet& evals,
-    size_t* unresolved = nullptr);
-std::optional<std::vector<Sdc>> LoadRulesFromFile(
-    const std::string& path, const typedet::EvalFunctionSet& evals,
-    size_t* unresolved = nullptr);
 
 /// Finds an evaluation function by id; nullptr if absent. (Declared here
 /// to keep EvalFunctionSet's surface minimal.)

@@ -6,9 +6,8 @@
 
 namespace autotest::lp {
 
-IncrementalSolver::IncrementalSolver(LinearProgram base,
-                                     RevisedSimplexOptions options)
-    : program_(std::move(base)), engine_(program_, options) {}
+IncrementalSolver::IncrementalSolver(LinearProgram base)
+    : program_(std::move(base)), engine_(program_) {}
 
 size_t IncrementalSolver::AddVariable(
     double objective, double upper,

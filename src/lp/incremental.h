@@ -20,13 +20,11 @@ namespace autotest::lp {
 /// an optimal basis stays primal feasible and only dual feasibility has
 /// to be restored.
 ///
-/// The wrapped LinearProgram mirror (`program()`) is kept in sync so a
-/// reference solver (`SolveLpDense`) can be run on the byte-identical
-/// program, which is how the selection layer proves solver equivalence.
+/// The wrapped LinearProgram mirror (`program()`) is kept in sync, so a
+/// cold SolveLp of the same program can check a warm solve.
 class IncrementalSolver {
  public:
-  explicit IncrementalSolver(LinearProgram base,
-                             RevisedSimplexOptions options = {});
+  explicit IncrementalSolver(LinearProgram base);
 
   /// Appends a variable with coefficients `terms` = (row index, coef).
   /// Returns the variable index.

@@ -52,15 +52,6 @@ struct Solution {
 /// (0 variables, 0 constraints) returns kOptimal with objective 0.
 Solution SolveLp(const LinearProgram& lp);
 
-/// Reference implementation: dense two-phase tableau simplex with the same
-/// contract as SolveLp. Kept compiled so the differential test harness
-/// (tests/lp_differential_test.cc) can prove the sparse solver equivalent,
-/// and as the `SelectionSolver::kDenseTableau` opt-in. Deprecation path:
-/// the dense path stays until two consecutive re-anchors of ROADMAP.md
-/// report no differential divergence, after which it can be folded into
-/// the test tree; it must never grow features the sparse solver lacks.
-Solution SolveLpDense(const LinearProgram& lp);
-
 }  // namespace autotest::lp
 
 #endif  // AUTOTEST_LP_SIMPLEX_H_

@@ -1,7 +1,6 @@
 #ifndef AUTOTEST_TABLE_CSV_H_
 #define AUTOTEST_TABLE_CSV_H_
 
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -56,15 +55,6 @@ struct CsvOptions {
 
 /// Serializes a Table to CSV text, quoting fields when necessary.
 std::string WriteCsv(const Table& table, const CsvOptions& options = {});
-
-/// Legacy shims over the Try* functions; they discard the diagnostic.
-/// Prefer the Result-returning forms in new code.
-std::optional<Table> ParseCsv(std::string_view text,
-                              const CsvOptions& options = {});
-std::optional<Table> ReadCsvFile(const std::string& path,
-                                 const CsvOptions& options = {});
-bool WriteCsvFile(const Table& table, const std::string& path,
-                  const CsvOptions& options = {});
 
 }  // namespace autotest::table
 

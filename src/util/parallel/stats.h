@@ -8,12 +8,13 @@
 
 namespace autotest::util::parallel {
 
-/// Process-wide counters for the parallel runtime. Since the metrics
-/// migration these are references into metrics::Registry::Global()
-/// (`parallel.*` family), so one JSON dump covers them alongside every
-/// other component; the accessors below are kept as thin shims so no
-/// call site changed. Updates stay relaxed-atomic: diagnostics, not
-/// synchronization.
+/// Process-wide counters for the parallel runtime: references into
+/// metrics::Registry::Global() (`parallel.*` family), so one JSON dump
+/// covers them alongside every other component. The accessors below all
+/// have production callers: GlobalStats() is the pool's own counter
+/// block, SnapshotStats()/ResetStats() feed the benchmark helper and
+/// FormatStats() the CLI's --parallel-stats. Updates stay relaxed-atomic:
+/// diagnostics, not synchronization.
 struct Stats {
   /// Parallel-region entries, including ones that fell back to serial.
   metrics::Counter& invocations;

@@ -143,13 +143,6 @@ class [[nodiscard]] Result {
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 
-  /// Collapses to the legacy `optional` shape, discarding the diagnostic.
-  /// Exists for the thin compatibility shims; new code should consume the
-  /// Status instead.
-  std::optional<T> ToOptional() && {
-    return ok() ? std::optional<T>(std::move(*value_)) : std::nullopt;
-  }
-
  private:
   Status status_;  // OK iff value_ holds
   std::optional<T> value_;

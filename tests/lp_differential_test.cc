@@ -1,12 +1,14 @@
 // Differential test harness for the LP solvers: thousands of seeded
 // random programs — degenerate, unbounded, infeasible, upper-bounded and
 // max-coverage-shaped — are pushed through the reference dense tableau
-// (SolveLpDense) and the sparse revised simplex (SolveLp), asserting
-// matching status, matching objective within tolerance, and primal
-// feasibility of the sparse solution. A further section proves the
-// warm-started IncrementalSolver equivalent to cold solves, and the
-// golden selection tests prove byte-identical SelectionResults between
-// the two solvers on the paper pipeline, across thread counts.
+// (SolveLpDense, the test-tree oracle in lp_oracle/) and the sparse
+// revised simplex (SolveLp), asserting matching status, matching
+// objective within tolerance, and primal feasibility of the sparse
+// solution. A further section proves the warm-started IncrementalSolver
+// equivalent to cold solves, and the golden selection tests pin the
+// SelectionResults of the paper pipeline — recorded while the dense
+// tableau still selected byte-identically — across thread counts, warm
+// re-selection and the prefiltered LP.
 
 #include <gtest/gtest.h>
 
@@ -18,10 +20,13 @@
 #include "core/auto_test.h"
 #include "core/trainer.h"
 #include "core/selection.h"
+#include "core/serialization.h"
 #include "datagen/corpus_gen.h"
 #include "lp/incremental.h"
-#include "typedet/eval_functions.h"
 #include "lp/simplex.h"
+#include "lp_oracle/dense_tableau.h"
+#include "typedet/eval_functions.h"
+#include "util/hashing.h"
 #include "util/rng.h"
 
 namespace autotest {
@@ -411,33 +416,57 @@ TEST(LpDifferentialTest, IncrementalReplaceVariable) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden selections on the paper pipeline: train a real model from the
-// synthetic corpus generator, then require the sparse revised simplex and
-// the dense tableau to produce byte-identical SelectionResults, across
-// CSS and FSS, thread counts, and warm incremental re-selection.
+// Golden selections on the paper pipeline: train real models from the
+// synthetic corpus generator, then require the selections to match the
+// golden pin and to be byte-identical across CSS and FSS, thread counts,
+// and warm incremental re-selection.
 // ---------------------------------------------------------------------------
 
 class GoldenSelectionTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    auto corpus =
-        datagen::GenerateCorpus(datagen::RelationalTablesProfile(150));
-    typedet::EvalFunctionSetOptions eval_opt;
-    eval_opt.embedding_centroids_per_model = 20;
-    auto evals = typedet::EvalFunctionSet::Build(corpus, eval_opt);
-    core::TrainOptions topt;
-    topt.synthetic_count = 200;
-    model_ = new core::TrainedModel(core::TrainAutoTest(corpus, evals, topt));
+    model_ = Train(150, &evals_);
     ASSERT_GT(model_->constraints.size(), 0u);
+    // A larger corpus whose selections pick tens of rules out of
+    // thousands of candidates, so the golden pin covers more than a
+    // near-trivial LP.
+    rich_model_ = Train(800, &rich_evals_);
+    ASSERT_GT(rich_model_->constraints.size(), 1000u);
   }
   static void TearDownTestSuite() {
     delete model_;
     model_ = nullptr;
+    delete evals_;
+    evals_ = nullptr;
+    delete rich_model_;
+    rich_model_ = nullptr;
+    delete rich_evals_;
+    rich_evals_ = nullptr;
   }
+  // The eval set outlives its model: every Sdc points at one of its
+  // functions, and the golden pin serializes rule ids.
+  static core::TrainedModel* Train(size_t columns,
+                                   typedet::EvalFunctionSet** evals) {
+    auto corpus =
+        datagen::GenerateCorpus(datagen::RelationalTablesProfile(columns));
+    typedet::EvalFunctionSetOptions eval_opt;
+    eval_opt.embedding_centroids_per_model = 20;
+    *evals = new typedet::EvalFunctionSet(
+        typedet::EvalFunctionSet::Build(corpus, eval_opt));
+    core::TrainOptions topt;
+    topt.synthetic_count = 200;
+    return new core::TrainedModel(core::TrainAutoTest(corpus, **evals, topt));
+  }
+  static typedet::EvalFunctionSet* evals_;
   static core::TrainedModel* model_;
+  static typedet::EvalFunctionSet* rich_evals_;
+  static core::TrainedModel* rich_model_;
 };
 
+typedet::EvalFunctionSet* GoldenSelectionTest::evals_ = nullptr;
 core::TrainedModel* GoldenSelectionTest::model_ = nullptr;
+typedet::EvalFunctionSet* GoldenSelectionTest::rich_evals_ = nullptr;
+core::TrainedModel* GoldenSelectionTest::rich_model_ = nullptr;
 
 void ExpectByteIdentical(const core::SelectionResult& a,
                          const core::SelectionResult& b, const char* tag) {
@@ -445,38 +474,89 @@ void ExpectByteIdentical(const core::SelectionResult& a,
   EXPECT_EQ(a.lp_status, b.lp_status) << tag;
   EXPECT_EQ(a.lp_num_variables, b.lp_num_variables) << tag;
   EXPECT_EQ(a.lp_num_rows, b.lp_num_rows) << tag;
-  EXPECT_EQ(a.used_greedy, b.used_greedy) << tag;
 }
 
-TEST_F(GoldenSelectionTest, DenseAndSparseSelectByteIdentically) {
-  for (double delta : {1.0, 1e-3}) {
+// Golden pin: digests of the selections on the fixture models, recorded
+// while the dense tableau was still a selectable engine and, for every
+// row, proven byte-identical to the sparse one. They must never be
+// regenerated from a changed selection engine; a mismatch means selection
+// semantics moved.
+struct SelectionPin {
+  bool rich;  // fixture model: rich_model_ when true, else model_
+  double delta;
+  size_t num_threads;
+  size_t max_lp_variables;  // below the kept count: prefiltered LP
+  uint64_t selected_digest;  // Fnv64 over the decimal selected indices
+  size_t selected_size;
+  size_t lp_num_variables;
+  size_t lp_num_rows;
+  uint64_t rules_digest;  // Fnv64 over SerializeRules(selected rules)
+};
+
+uint64_t SelectedDigest(const std::vector<size_t>& selected) {
+  std::string text;
+  for (size_t r : selected) text += std::to_string(r) + ",";
+  return util::Fnv64(text);
+}
+
+TEST_F(GoldenSelectionTest, SelectionsMatchGoldenPin) {
+  const SelectionPin kPins[] = {
+      {false, 1.0, 1, 2500, 0xc696fd636f6357b7ULL, 1, 20, 202,
+       0x31119e466271a1f6ULL},
+      {false, 1.0, 8, 2500, 0xc696fd636f6357b7ULL, 1, 20, 202,
+       0x31119e466271a1f6ULL},
+      {false, 1e-3, 1, 2500, 0xc696fd636f6357b7ULL, 1, 20, 202,
+       0x31119e466271a1f6ULL},
+      {false, 1e-3, 8, 2500, 0xc696fd636f6357b7ULL, 1, 20, 202,
+       0x31119e466271a1f6ULL},
+      {true, 1.0, 1, 2500, 0xd1ffb73313707634ULL, 20, 129, 202,
+       0x86153319ebec0a06ULL},
+      {true, 1.0, 8, 2500, 0xd1ffb73313707634ULL, 20, 129, 202,
+       0x86153319ebec0a06ULL},
+      {true, 1e-3, 1, 2500, 0xd1ffb73313707634ULL, 20, 121, 202,
+       0x86153319ebec0a06ULL},
+      {true, 1e-3, 8, 2500, 0xd1ffb73313707634ULL, 20, 121, 202,
+       0x86153319ebec0a06ULL},
+      {true, 1.0, 1, 30, 0xb4bd5b21a661f27dULL, 16, 100, 202,
+       0xe1dd723655c663dcULL},
+      {true, 1.0, 8, 30, 0xb4bd5b21a661f27dULL, 16, 100, 202,
+       0xe1dd723655c663dcULL},
+      {true, 1e-3, 1, 30, 0x7629cfa170809596ULL, 16, 98, 202,
+       0xf946c93275a31af6ULL},
+      {true, 1e-3, 8, 30, 0x7629cfa170809596ULL, 16, 98, 202,
+       0xf946c93275a31af6ULL},
+  };
+  for (const SelectionPin& pin : kPins) {
     core::SelectionOptions opt;
-    opt.delta = delta;
-    core::SelectionResult sparse = core::SelectWithDelta(*model_, opt, delta);
-    opt.solver = core::SelectionSolver::kDenseTableau;
-    core::SelectionResult dense = core::SelectWithDelta(*model_, opt, delta);
-    ASSERT_EQ(sparse.lp_status, lp::SolveStatus::kOptimal);
-    ExpectByteIdentical(sparse, dense, delta == 1.0 ? "css" : "fss");
-    // The deterministic objective perturbation is ~1e-5 per selected
-    // column; both solvers must sit on the same optimal vertex.
-    EXPECT_LE(std::fabs(sparse.lp_objective - dense.lp_objective),
-              1e-6 * std::max(1.0, std::fabs(dense.lp_objective)));
+    opt.delta = pin.delta;
+    opt.num_threads = pin.num_threads;
+    opt.max_lp_variables = pin.max_lp_variables;
+    const core::TrainedModel& model = pin.rich ? *rich_model_ : *model_;
+    core::SelectionResult s = core::SelectWithDelta(model, opt, pin.delta);
+    std::vector<core::Sdc> rules;
+    for (size_t r : s.selected) rules.push_back(model.constraints[r]);
+    std::string tag = std::string(pin.rich ? "rich" : "small") +
+                      " delta=" + std::to_string(pin.delta) +
+                      " threads=" + std::to_string(pin.num_threads) +
+                      " max_lp=" + std::to_string(pin.max_lp_variables);
+    EXPECT_EQ(s.lp_status, lp::SolveStatus::kOptimal) << tag;
+    EXPECT_EQ(SelectedDigest(s.selected), pin.selected_digest) << tag;
+    EXPECT_EQ(s.selected.size(), pin.selected_size) << tag;
+    EXPECT_EQ(s.lp_num_variables, pin.lp_num_variables) << tag;
+    EXPECT_EQ(s.lp_num_rows, pin.lp_num_rows) << tag;
+    EXPECT_EQ(util::Fnv64(core::SerializeRules(rules)), pin.rules_digest)
+        << tag;
   }
 }
 
 TEST_F(GoldenSelectionTest, ThreadCountInvariantAcrossSolvers) {
-  for (auto solver : {core::SelectionSolver::kRevisedSimplex,
-                      core::SelectionSolver::kDenseTableau,
-                      core::SelectionSolver::kGreedy}) {
-    core::SelectionOptions opt;
-    opt.solver = solver;
-    opt.num_threads = 1;
-    core::SelectionResult s1 = core::FineSelect(*model_, opt);
-    opt.num_threads = 8;
-    core::SelectionResult s8 = core::FineSelect(*model_, opt);
-    ExpectByteIdentical(s1, s8, "threads");
-    EXPECT_EQ(s1.lp_objective, s8.lp_objective);
-  }
+  core::SelectionOptions opt;
+  opt.num_threads = 1;
+  core::SelectionResult s1 = core::FineSelect(*model_, opt);
+  opt.num_threads = 8;
+  core::SelectionResult s8 = core::FineSelect(*model_, opt);
+  ExpectByteIdentical(s1, s8, "threads");
+  EXPECT_EQ(s1.lp_objective, s8.lp_objective);
 }
 
 TEST_F(GoldenSelectionTest, WarmIncrementalMatchesOneShotOnPipeline) {

@@ -1,11 +1,11 @@
-// Reference dense tableau simplex, kept as SolveLpDense so the
-// differential harness can prove the sparse revised simplex (SolveLp)
-// equivalent. See simplex.h for the deprecation path.
+// Reference dense tableau simplex (test oracle). See dense_tableau.h.
+
+#include "lp_oracle/dense_tableau.h"
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
-#include "lp/simplex.h"
 #include "util/check.h"
 
 namespace autotest::lp {

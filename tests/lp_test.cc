@@ -2,6 +2,7 @@
 
 #include "lp/incremental.h"
 #include "lp/simplex.h"
+#include "lp_oracle/dense_tableau.h"
 #include "util/rng.h"
 
 namespace autotest::lp {
@@ -236,8 +237,8 @@ TEST(SimplexTest, NoConstraintsBoundedVarsIsOptimal) {
 }
 
 TEST(SimplexTest, DenseSolverStillAvailableAsReference) {
-  // SolveLpDense is the retained tableau implementation; spot-check that
-  // it matches the revised simplex on a small mixed program.
+  // SolveLpDense is the test-tree tableau oracle; spot-check that it
+  // matches the revised simplex on a small mixed program.
   LinearProgram lp;
   size_t x = lp.AddVariable(3.0, LinearProgram::kInfinity);
   size_t y = lp.AddVariable(2.0, 5.0);

@@ -17,7 +17,6 @@
 
 #include "util/hashing.h"
 #include "util/parallel/thread_pool.h"
-#include "util/thread_pool.h"
 
 namespace autotest::util::parallel {
 namespace {
@@ -267,14 +266,6 @@ TEST(ParallelStatsTest, SerialFallbackCounted) {
   StatsSnapshot s = SnapshotStats();
   EXPECT_EQ(s.serial_invocations, 1u);
   EXPECT_EQ(s.items, 50u);
-}
-
-TEST(LegacyShimTest, ForwardsToPool) {
-  std::vector<std::atomic<uint32_t>> hits(101);
-  for (auto& h : hits) h.store(0);
-  util::ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); }, 8);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1u);
-  EXPECT_GE(util::DefaultThreadCount(), 1u);
 }
 
 }  // namespace

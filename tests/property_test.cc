@@ -490,34 +490,5 @@ TEST(IncrementalSelectionPropertyTest, SetDeltaMatchesFreshSelector) {
   }
 }
 
-TEST(IncrementalSelectionPropertyTest, GreedyMatchesBudgetsAndIsDeterministic) {
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    core::TrainedModel model = MakeSyntheticModel(900 + seed, 100, 50);
-    core::SelectionOptions opt;
-    opt.solver = core::SelectionSolver::kGreedy;
-    opt.size_budget = 15;
-    opt.fpr_budget = 0.1;
-    core::SelectionResult a = core::FineSelect(model, opt);
-    core::SelectionResult b = core::FineSelect(model, opt);
-    EXPECT_TRUE(a.used_greedy);
-    EXPECT_EQ(a.selected, b.selected) << "seed " << seed;
-    EXPECT_LE(a.selected.size(), opt.size_budget);
-    double fpr = 0.0;
-    for (size_t i : a.selected) fpr += model.constraints[i].fpr;
-    EXPECT_LE(fpr, opt.fpr_budget + 1e-9);
-    EXPECT_GE(a.greedy_opt_bound, a.lp_objective);
-    // The LP relaxation upper-bounds integral coverage, and greedy must
-    // reach at least (1 - 1/e) of it on the size-constrained instances.
-    core::SelectionOptions lp_opt = opt;
-    lp_opt.solver = core::SelectionSolver::kRevisedSimplex;
-    core::SelectionResult relaxed = core::FineSelect(model, lp_opt);
-    if (relaxed.lp_status == lp::SolveStatus::kOptimal) {
-      EXPECT_GE(a.lp_objective,
-                (1.0 - 1.0 / std::exp(1.0)) * relaxed.lp_objective - 1e-6)
-          << "seed " << seed;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace autotest

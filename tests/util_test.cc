@@ -2,15 +2,14 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <set>
 
 #include "util/failpoint.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/parallel/thread_pool.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 // Compile-fail harness for the [[nodiscard]] contract. The ctest entry
 // `nodiscard_compile_fail` re-compiles this file with -fsyntax-only and
@@ -287,11 +286,6 @@ TEST(ResultTest, MoveOnlyValue) {
   EXPECT_EQ(*v, 7);
 }
 
-TEST(ResultTest, ToOptionalShimShape) {
-  EXPECT_EQ(Result<int>(5).ToOptional(), std::optional<int>(5));
-  EXPECT_EQ(Result<int>(NotFoundError("gone")).ToOptional(), std::nullopt);
-}
-
 Result<int> NeedsPositive(int x) {
   if (x <= 0) return InvalidArgumentError("x must be positive");
   return x * 2;
@@ -419,15 +413,20 @@ TEST_F(FailpointTest, ZeroProbabilityNeverFires) {
 
 TEST(ThreadPoolTest, RunsAllIndices) {
   std::vector<int> hits(1000, 0);
-  ParallelFor(hits.size(), [&](size_t i) { hits[i] = 1; }, 8);
+  parallel::Options opt;
+  opt.num_threads = 8;
+  parallel::ParallelFor(hits.size(), [&](size_t i) { hits[i] = 1; }, opt);
   for (int h : hits) EXPECT_EQ(h, 1);
+  EXPECT_GE(parallel::DefaultThreadCount(), 1u);
 }
 
 TEST(ThreadPoolTest, EmptyAndSingle) {
   std::atomic<int> count{0};
-  ParallelFor(0, [&](size_t) { count++; });
+  parallel::ParallelFor(0, [&](size_t) { count++; });
   EXPECT_EQ(count.load(), 0);
-  ParallelFor(1, [&](size_t) { count++; }, 4);
+  parallel::Options opt;
+  opt.num_threads = 4;
+  parallel::ParallelFor(1, [&](size_t) { count++; }, opt);
   EXPECT_EQ(count.load(), 1);
 }
 
