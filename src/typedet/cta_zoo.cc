@@ -1,139 +1,47 @@
 #include "typedet/cta_zoo.h"
 
-#include <cctype>
-
-#include "datagen/gazetteer.h"
+#include "ml/logistic_regression.h"
+#include "typedet/cta_zoo_coefficients.h"
 #include "util/check.h"
-#include "util/hashing.h"
-#include "util/parallel/thread_pool.h"
-#include "util/rng.h"
 
 namespace autotest::typedet {
 
-namespace {
-
-std::string TitleCase(const std::string& s) {
-  std::string out = s;
-  bool start = true;
-  for (char& c : out) {
-    if (start && std::isalpha(static_cast<unsigned char>(c))) {
-      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-    }
-    start = (c == ' ' || c == '-');
-  }
-  return out;
-}
-
-// Collects negative examples: head values of other domains plus fresh
-// machine-generated values, so classifiers see both text and id shapes.
-std::vector<std::string> SampleNegatives(const std::string& own_domain,
-                                         size_t count, util::Rng* rng) {
-  const auto& gaz = datagen::Gazetteer::Instance();
-  std::vector<std::string> out;
-  out.reserve(count);
-  const auto& domains = gaz.domains();
-  while (out.size() < count) {
-    const datagen::Domain& d = domains[static_cast<size_t>(
-        rng->UniformInt(0, static_cast<int64_t>(domains.size()) - 1))];
-    if (d.name == own_domain) continue;
-    std::string v = d.has_generator() && rng->Bernoulli(0.5)
-                        ? d.generator(*rng)
-                        : rng->Pick(d.head);
-    if (gaz.Contains(own_domain, v)) continue;
-    out.push_back(std::move(v));
-  }
-  return out;
-}
-
-}  // namespace
-
-std::unique_ptr<CtaModelZoo> CtaModelZoo::Train(const CtaZooConfig& config) {
-  AT_CHECK(!config.type_names.empty());
-  auto zoo = std::unique_ptr<CtaModelZoo>(new CtaModelZoo(config));
-  zoo->models_.resize(config.type_names.size());
-
-  const auto& gaz = datagen::Gazetteer::Instance();
-  // One classifier per chunk: training cost varies with domain size, so
-  // work stealing at item granularity keeps the pool busy.
-  util::parallel::Options par_opt;
-  par_opt.grain = 1;
-  util::parallel::ParallelFor(config.type_names.size(), [&](size_t t) {
-    const std::string& type_name = config.type_names[t];
-    const datagen::Domain* domain = gaz.Find(type_name);
-    AT_CHECK_MSG(domain != nullptr, type_name.c_str());
-    util::Rng rng(config.seed ^ util::Fnv64(type_name));
-
-    // Positives: head values (with casing variants), oversampled to
-    // balance the negatives, plus tail values added once with low weight.
-    // Like a real pre-trained CTA model, the classifier is confident on
-    // common members and lukewarm on rare ones — the micro-level
-    // miscalibration of the paper's Example 2: rare valid values score in
-    // the middle, so naive per-value thresholds misflag them while SDCs'
-    // calibrated outer balls spare them.
-    std::vector<std::string> positives;
-    for (const auto& v : domain->head) {
-      positives.push_back(v);
-      positives.push_back(TitleCase(v));
-    }
-    if (domain->has_generator()) {
-      for (int i = 0; i < 150; ++i) positives.push_back(domain->generator(rng));
-    }
-    size_t neg_count =
-        std::max(config.negatives_per_type, positives.size());
-    std::vector<std::string> negatives =
-        SampleNegatives(type_name, neg_count, &rng);
-    // Balance the classes: small domains would otherwise be swamped by
-    // negatives and the classifier would underfit toward "no".
-    size_t base_positives = positives.size();
-    while (positives.size() < negatives.size()) {
-      positives.push_back(positives[positives.size() % base_positives]);
-    }
-    for (const auto& v : domain->tail) {
-      positives.push_back(v);  // once: rare values are weakly represented
-    }
-
-    std::vector<std::vector<float>> x;
-    std::vector<int> y;
-    x.reserve(positives.size() + negatives.size());
-    for (const auto& v : positives) {
-      x.push_back(zoo->extractor_.Extract(v));
-      y.push_back(1);
-    }
-    for (const auto& v : negatives) {
-      x.push_back(zoo->extractor_.Extract(v));
-      y.push_back(0);
-    }
-    ml::LogRegConfig train = config.train_config;
-    train.seed = config.seed ^ (t * 0x9e37ULL);
-    zoo->models_[t].Train(x, y, train);
-  }, par_opt);
-  zoo->PackWeights();
-  return zoo;
-}
-
-void CtaModelZoo::PackWeights() {
-  const size_t nt = models_.size();
-  const size_t dim = extractor_.dim();
-  wt_.assign(dim * nt, 0.0);
-  biases_.assign(nt, 0.0);
-  trained_.assign(nt, 0);
+std::unique_ptr<CtaModelZoo> CtaModelZoo::FromCoefficients(
+    const CtaZooCoefficients& c) {
+  const size_t nt = c.type_names.size();
+  AT_CHECK(nt > 0 && c.biases.size() == nt && c.trained.size() == nt);
+  auto zoo = std::unique_ptr<CtaModelZoo>(new CtaModelZoo(
+      c.name, std::vector<std::string>(c.type_names.begin(),
+                                       c.type_names.end()),
+      c.feature_config));
+  const size_t dim = zoo->extractor_.dim();
+  AT_CHECK(c.weights.size() == nt * dim);
+  zoo->wt_.assign(dim * nt, 0.0);
+  zoo->biases_.assign(nt, 0.0);
+  zoo->trained_.assign(nt, 0);
   for (size_t t = 0; t < nt; ++t) {
-    if (!models_[t].trained()) continue;  // scores 0.5 like Predict
-    AT_CHECK(models_[t].dim() == dim);
-    trained_[t] = 1;
-    biases_[t] = models_[t].bias();
-    const std::vector<double>& w = models_[t].weights();
-    for (size_t j = 0; j < dim; ++j) wt_[j * nt + t] = w[j];
+    if (c.trained[t] == 0) continue;  // scores 0.5 like Predict
+    zoo->trained_[t] = 1;
+    zoo->biases_[t] = c.biases[t];
+    for (size_t j = 0; j < dim; ++j) {
+      zoo->wt_[j * nt + t] = c.weights[t * dim + j];
+    }
   }
+  return zoo;
 }
 
 void CtaModelZoo::ScoreAllTypes(const std::vector<float>& features,
                                 std::vector<float>* scores) const {
-  const size_t nt = models_.size();
+  const size_t nt = num_types();
   const size_t dim = extractor_.dim();
   AT_CHECK(features.size() == dim);
   std::vector<double> acc(biases_);
   for (size_t j = 0; j < dim; ++j) {
+    // Most hashed n-gram buckets of a value are empty. A zero feature only
+    // adds a signed zero to each accumulator, which can change nothing but
+    // the sign of a zero sum, and Sigmoid(+0) == Sigmoid(-0): skipping it
+    // is bit-exact.
+    if (features[j] == 0.0f) continue;
     const double xj = static_cast<double>(features[j]);
     const double* row = &wt_[j * nt];
     for (size_t t = 0; t < nt; ++t) acc[t] += row[t] * xj;
@@ -146,7 +54,7 @@ void CtaModelZoo::ScoreAllTypes(const std::vector<float>& features,
 }
 
 double CtaModelZoo::Score(size_t type_index, const std::string& value) const {
-  AT_CHECK(type_index < models_.size());
+  AT_CHECK(type_index < num_types());
   {
     util::MutexLock lock(&cache_mu_);
     auto it = score_cache_.find(value);
@@ -173,7 +81,7 @@ std::shared_ptr<const std::vector<float>> CtaModelZoo::ScoreBlock(
     auto it = block_cache_.find(key);
     if (it != block_cache_.end()) return it->second;
   }
-  const size_t nt = models_.size();
+  const size_t nt = num_types();
   auto matrix = std::make_shared<std::vector<float>>(values.size() * nt);
   // Row-fill from the value cache; misses are scored outside the lock, so
   // the matrix rows are exactly the vectors per-value Score would cache.
@@ -224,11 +132,11 @@ void CtaModelZoo::BatchScore(size_t type_index,
                              std::span<const std::string_view> values,
                              std::span<double> out, uint64_t pool_id,
                              size_t block_offset) const {
-  AT_CHECK(type_index < models_.size() && out.size() >= values.size());
+  AT_CHECK(type_index < num_types() && out.size() >= values.size());
   if (pool_id != 0) {
     const std::shared_ptr<const std::vector<float>> matrix =
         ScoreBlock(values, pool_id, block_offset);
-    const size_t nt = models_.size();
+    const size_t nt = num_types();
     const float* m = matrix->data();
     for (size_t i = 0; i < values.size(); ++i) {
       out[i] = static_cast<double>(m[i * nt + type_index]);
@@ -264,46 +172,17 @@ void CtaModelZoo::BatchScore(size_t type_index,
   }
 }
 
-std::unique_ptr<CtaModelZoo> TrainSherlockSim() {
-  const auto& gaz = datagen::Gazetteer::Instance();
-  std::vector<std::string> all =
-      gaz.DomainNames(datagen::DomainKind::kNaturalLanguage);
-  CtaZooConfig config;
-  config.name = "sherlock-sim";
-  // Sherlock covers fewer types than Doduo: take ~60% of the NL domains.
-  for (size_t i = 0; i < all.size(); ++i) {
-    if (i % 5 != 4 && i % 5 != 2) config.type_names.push_back(all[i]);
-  }
-  config.feature_config.hash_dim = 248;
-  config.feature_config.seed = 0x5e1;
-  config.train_config.epochs = 25;
-  config.seed = 0x5e1f00d;
-  return CtaModelZoo::Train(config);
-}
-
-std::unique_ptr<CtaModelZoo> TrainDoduoSim() {
-  const auto& gaz = datagen::Gazetteer::Instance();
-  CtaZooConfig config;
-  config.name = "doduo-sim";
-  config.type_names = gaz.DomainNames(datagen::DomainKind::kNaturalLanguage);
-  config.feature_config.hash_dim = 312;
-  config.feature_config.seed = 0xd0d;
-  config.train_config.epochs = 25;
-  config.seed = 0xd0d0f00d;
-  return CtaModelZoo::Train(config);
-}
-
 std::shared_ptr<CtaModelZoo> SharedSherlockSim() {
-  // Leaky magic static: the zoo is a pure function of its fixed config, so
-  // one process-wide instance (with its warm score cache) serves every
-  // EvalFunctionSet::Build.
-  static const auto& zoo =
-      *new std::shared_ptr<CtaModelZoo>(TrainSherlockSim());
+  // Leaky magic static: one process-wide instance (with its warm score
+  // cache) serves every EvalFunctionSet::Build.
+  static const auto& zoo = *new std::shared_ptr<CtaModelZoo>(
+      CtaModelZoo::FromCoefficients(kSherlockSimCoefficients));
   return zoo;
 }
 
 std::shared_ptr<CtaModelZoo> SharedDoduoSim() {
-  static const auto& zoo = *new std::shared_ptr<CtaModelZoo>(TrainDoduoSim());
+  static const auto& zoo = *new std::shared_ptr<CtaModelZoo>(
+      CtaModelZoo::FromCoefficients(kDoduoSimCoefficients));
   return zoo;
 }
 

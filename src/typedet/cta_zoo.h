@@ -10,34 +10,38 @@
 #include <vector>
 
 #include "ml/features.h"
-#include "ml/logistic_regression.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace autotest::typedet {
 
-/// Configuration of one CTA classifier zoo (a simulated Sherlock / Doduo).
-struct CtaZooConfig {
-  std::string name;  // "sherlock-sim" | "doduo-sim"
-  /// Gazetteer domain names to train one binary classifier for.
-  std::vector<std::string> type_names;
+/// The coefficients of one trained zoo. The built-in zoos' coefficients
+/// are baked at build time: cta_zoo_bake (tools/cta_zoo_bake) runs the
+/// zoo training and writes them into cta_zoo_coefficients.cc as exact
+/// hex-float literals. `weights` is row-major per type, weights[t * dim +
+/// j] with dim = feature_config.hash_dim + FeatureExtractor::kShapeDims;
+/// a type with trained[t] == 0 scores 0.5, like an untrained
+/// ml::LogisticRegression.
+struct CtaZooCoefficients {
+  std::string_view name;  // "sherlock-sim" | "doduo-sim"
+  std::span<const std::string_view> type_names;
   ml::FeatureConfig feature_config;
-  ml::LogRegConfig train_config;
-  /// Negative examples sampled per type (from other domains).
-  size_t negatives_per_type = 500;
-  uint64_t seed = 1;
+  std::span<const double> weights;
+  std::span<const double> biases;
+  std::span<const uint8_t> trained;
 };
 
 /// A zoo of per-type binary classifiers (CTA as per the paper's Section 3:
-/// multi-class CTA viewed as one binary classifier per type). Classifiers
-/// are trained in-process on gazetteer *head* values, which reproduces the
-/// real-world miscalibration on rare values: a valid-but-uncommon member
-/// can score low even when the column-level (macro) prediction is right.
+/// multi-class CTA viewed as one binary classifier per type). Like the
+/// paper's Sherlock and Doduo, the zoo ships pre-trained: it is packed
+/// from coefficients, never trained at run time.
 class CtaModelZoo {
  public:
-  /// Trains all classifiers (parallelized over types). Deterministic in
-  /// the config seed.
-  static std::unique_ptr<CtaModelZoo> Train(const CtaZooConfig& config);
+  /// Packs the coefficients (copied) into the zoo's transposed scoring
+  /// layout. Scores are bit-identical to ml::LogisticRegression::Predict
+  /// of the models the coefficients came from.
+  static std::unique_ptr<CtaModelZoo> FromCoefficients(
+      const CtaZooCoefficients& coefficients);
 
   /// P(value belongs to type) in [0, 1]. Scores for all types of a value
   /// are computed on first use and memoized (feature extraction dominates
@@ -61,27 +65,36 @@ class CtaModelZoo {
                   std::span<double> out, uint64_t pool_id = 0,
                   size_t block_offset = 0) const;
 
-  const std::string& name() const { return config_.name; }
-  const std::vector<std::string>& type_names() const {
-    return config_.type_names;
+  const std::string& name() const { return name_; }
+  const std::vector<std::string>& type_names() const { return type_names_; }
+  size_t num_types() const { return type_names_.size(); }
+  const ml::FeatureConfig& feature_config() const {
+    return extractor_.config();
   }
-  size_t num_types() const { return config_.type_names.size(); }
+
+  /// The packed coefficients of one type, bit-exact as given to
+  /// FromCoefficients (weight index j < FeatureExtractor::dim()).
+  double weight(size_t type_index, size_t j) const {
+    return wt_[j * num_types() + type_index];
+  }
+  double bias(size_t type_index) const { return biases_[type_index]; }
+  bool trained(size_t type_index) const { return trained_[type_index] != 0; }
 
  private:
-  explicit CtaModelZoo(CtaZooConfig config)
-      : config_(std::move(config)), extractor_(config_.feature_config) {}
+  CtaModelZoo(std::string_view name, std::vector<std::string> type_names,
+              const ml::FeatureConfig& feature_config)
+      : name_(name),
+        type_names_(std::move(type_names)),
+        extractor_(feature_config) {}
 
   /// All-type scores for one feature vector through the packed transposed
   /// weight matrix: feature-index outer, type inner, so every type's
   /// accumulation order matches LogisticRegression::Predict exactly
   /// (bit-identical scores) while the inner loop runs independent
   /// multiply-add chains across types instead of one serial dot product
-  /// per model.
+  /// per model. Zero features are skipped (bit-exact; see the .cc).
   void ScoreAllTypes(const std::vector<float>& features,
                      std::vector<float>* scores) const;
-
-  /// Packs models_ into wt_/biases_/trained_ after training.
-  void PackWeights();
 
   /// Fetches (or builds and memoizes) the dense num_types-wide score
   /// matrix for one identified pool block. Row i holds all type scores of
@@ -90,11 +103,11 @@ class CtaModelZoo {
       std::span<const std::string_view> values, uint64_t pool_id,
       size_t block_offset) const;
 
-  CtaZooConfig config_;
+  std::string name_;
+  std::vector<std::string> type_names_;
   ml::FeatureExtractor extractor_;
-  std::vector<ml::LogisticRegression> models_;
 
-  // Transposed weights: wt_[j * num_types + t] = models_[t].weights()[j].
+  // Transposed weights: wt_[j * num_types + t] = weights[t * dim + j].
   std::vector<double> wt_;
   std::vector<double> biases_;
   std::vector<uint8_t> trained_;
@@ -128,17 +141,12 @@ class CtaModelZoo {
   mutable size_t block_cache_floats_ AT_GUARDED_BY(block_mu_) = 0;
 };
 
-/// The two built-in zoos. Sherlock-sim covers a subset of NL domains
-/// (Sherlock: 78 DBpedia types); Doduo-sim covers all NL domains with a
-/// different feature space (Doduo: 121 Freebase types).
-std::unique_ptr<CtaModelZoo> TrainSherlockSim();
-std::unique_ptr<CtaModelZoo> TrainDoduoSim();
-
-/// Process-shared instances of the built-in zoos, trained once on first
-/// use. The zoos are pure functions of their fixed configs (gazetteer +
-/// seeds), so every EvalFunctionSet::Build can reuse one instance — and
-/// with it the warm per-value score cache — instead of retraining per
-/// corpus. Thread-safe (magic statics + internally synchronized caches).
+/// Process-shared instances of the two built-in zoos, packed from the
+/// baked coefficients on first use (a copy, no training). Sherlock-sim covers a subset of NL domains (Sherlock: 78
+/// DBpedia types); Doduo-sim covers all NL domains with a different
+/// feature space (Doduo: 121 Freebase types). Every EvalFunctionSet::Build
+/// reuses one instance, and with it the warm per-value score cache.
+/// Thread-safe (magic statics + internally synchronized caches).
 std::shared_ptr<CtaModelZoo> SharedSherlockSim();
 std::shared_ptr<CtaModelZoo> SharedDoduoSim();
 

@@ -21,8 +21,9 @@ using util::Result;
 using EvalPtr = std::unique_ptr<DomainEvalFunction>;
 
 // The built-in model singletons, by the name their ids carry. Matching the
-// name before calling the getter means an id only ever trains (CTA) or
-// builds (embedding) a model it actually references.
+// name before calling the getter means an id only ever packs (CTA, from
+// the baked coefficients) or builds (embedding) a model it actually
+// references.
 struct NamedZoo {
   std::string_view name;
   std::shared_ptr<CtaModelZoo> (*shared)();

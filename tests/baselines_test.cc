@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "baselines/baselines.h"
+#include "cta_zoo_reference.h"
 #include "datagen/corpus_gen.h"
 #include "embed/embedding.h"
-#include "typedet/cta_zoo.h"
 
 namespace autotest::baselines {
 namespace {
@@ -128,7 +128,8 @@ TEST(LlmSimTest, VariantsDiffer) {
 }
 
 TEST(CtaZScoreTest, FlagsIncompatibleValue) {
-  auto zoo = typedet::TrainSherlockSim();
+  auto zoo = typedet::PackTrainedZoo(
+      typedet::TrainCtaZoo(typedet::SherlockSimConfig()));
   CtaZScoreDetector det("sherlock", zoo.get());
   table::Column c;
   c.name = "state";

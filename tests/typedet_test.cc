@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "cta_zoo_reference.h"
 #include "datagen/corpus_gen.h"
 #include "table/column_store.h"
 #include "typedet/cta_zoo.h"
@@ -185,11 +189,22 @@ TEST(ValidatorsTest, RegistryComplete) {
 // CTA zoos
 // ---------------------------------------------------------------------------
 
+// Fresh in-test trainings of the built-in configs, once per process: the
+// reference for the zoo tests and for the baked singletons.
+const TrainedCtaZoo& FreshSherlock() {
+  static const auto* zoo = new TrainedCtaZoo(TrainCtaZoo(SherlockSimConfig()));
+  return *zoo;
+}
+const TrainedCtaZoo& FreshDoduo() {
+  static const auto* zoo = new TrainedCtaZoo(TrainCtaZoo(DoduoSimConfig()));
+  return *zoo;
+}
+
 class CtaZooTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    sherlock_ = TrainSherlockSim().release();
-    doduo_ = TrainDoduoSim().release();
+    sherlock_ = PackTrainedZoo(FreshSherlock()).release();
+    doduo_ = PackTrainedZoo(FreshDoduo()).release();
   }
   static CtaModelZoo* sherlock_;
   static CtaModelZoo* doduo_;
@@ -355,17 +370,87 @@ TEST(EvalFunctionTest, BatchDistanceMatchesScalarAcrossFamilies) {
   for (bool seen : saw_family) EXPECT_TRUE(seen);
 }
 
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Each baked singleton next to the fresh training of its config.
+struct BakedAndFresh {
+  std::shared_ptr<CtaModelZoo> baked;
+  const TrainedCtaZoo& fresh;
+};
+std::vector<BakedAndFresh> BuiltInZoos() {
+  return {{SharedSherlockSim(), FreshSherlock()},
+          {SharedDoduoSim(), FreshDoduo()}};
+}
+
+TEST(SharedZooTest, BakedCoefficientsMatchFreshTraining) {
+  for (const auto& [baked, fresh] : BuiltInZoos()) {
+    SCOPED_TRACE(fresh.name);
+    EXPECT_EQ(baked->name(), fresh.name);
+    ASSERT_EQ(baked->type_names(), fresh.type_names);
+    EXPECT_EQ(baked->feature_config().hash_dim, fresh.feature_config.hash_dim);
+    EXPECT_EQ(baked->feature_config().min_n, fresh.feature_config.min_n);
+    EXPECT_EQ(baked->feature_config().max_n, fresh.feature_config.max_n);
+    EXPECT_EQ(baked->feature_config().seed, fresh.feature_config.seed);
+    const size_t dim = ml::FeatureExtractor(fresh.feature_config).dim();
+    for (size_t t = 0; t < fresh.models.size(); ++t) {
+      const ml::LogisticRegression& model = fresh.models[t];
+      ASSERT_EQ(baked->trained(t), model.trained()) << fresh.type_names[t];
+      if (!model.trained()) continue;
+      ASSERT_EQ(model.dim(), dim);
+      EXPECT_EQ(Bits(baked->bias(t)), Bits(model.bias()))
+          << fresh.type_names[t];
+      for (size_t j = 0; j < dim; ++j) {
+        ASSERT_EQ(Bits(baked->weight(t, j)), Bits(model.weights()[j]))
+            << fresh.type_names[t] << " weight " << j;
+      }
+    }
+  }
+}
+
+// Short values, a 1-byte value, the empty value, a long value and
+// non-ASCII values: the sparse all-type kernel must agree bitwise with
+// each model's dense Predict on all of them.
+const std::vector<std::string>& ProbeValues() {
+  static const auto* values = new std::vector<std::string>{
+      "", "x", "7", "fl", "ca", "germany", "France", "seattle",
+      "12/3/2020", "tt0054215", "not-a-real-value", "hello world",
+      "Zürich", "São Paulo", "東京都", "Ελλάδα",
+      std::string(40, 'a') + " avenue of the " + std::string(300, 'z') +
+          " 1234567890 !@#$%^&*()"};
+  return *values;
+}
+
+TEST(SharedZooTest, ScoreMatchesModelPredictBitwise) {
+  for (const auto& [baked, fresh] : BuiltInZoos()) {
+    SCOPED_TRACE(fresh.name);
+    const ml::FeatureExtractor extractor(fresh.feature_config);
+    for (const std::string& v : ProbeValues()) {
+      const std::vector<float> features = extractor.Extract(v);
+      for (size_t t = 0; t < fresh.models.size(); ++t) {
+        // The zoo keeps scores as float, like its score cache.
+        const double expected = static_cast<double>(
+            static_cast<float>(fresh.models[t].Predict(features)));
+        EXPECT_EQ(Bits(baked->Score(t, v)), Bits(expected))
+            << fresh.type_names[t] << " value '" << v << "'";
+      }
+    }
+  }
+}
+
 TEST(SharedZooTest, ProcessSingletonsScoreLikeFresh) {
   EXPECT_EQ(SharedSherlockSim().get(), SharedSherlockSim().get());
   EXPECT_EQ(SharedDoduoSim().get(), SharedDoduoSim().get());
-  // The shared instance is trained from the same fixed config, so its
-  // scores match a freshly trained zoo exactly.
-  auto fresh = TrainSherlockSim();
-  auto shared = SharedSherlockSim();
-  ASSERT_EQ(fresh->num_types(), shared->num_types());
-  for (const std::string v : {"france", "seattle", "not-a-real-value"}) {
-    for (size_t t = 0; t < fresh->num_types(); t += 7) {
-      EXPECT_EQ(fresh->Score(t, v), shared->Score(t, v)) << v;
+  // The baked singletons score exactly like a freshly trained zoo, for
+  // every type of both zoos.
+  for (const auto& [baked, fresh_training] : BuiltInZoos()) {
+    SCOPED_TRACE(fresh_training.name);
+    const auto fresh = PackTrainedZoo(fresh_training);
+    ASSERT_EQ(fresh->num_types(), baked->num_types());
+    for (const std::string& v : ProbeValues()) {
+      for (size_t t = 0; t < fresh->num_types(); ++t) {
+        EXPECT_EQ(Bits(fresh->Score(t, v)), Bits(baked->Score(t, v)))
+            << fresh->type_names()[t] << " value '" << v << "'";
+      }
     }
   }
 }
